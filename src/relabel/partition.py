@@ -200,6 +200,18 @@ def prune_sites(probabilities: SiteProbabilities, threshold: float) -> set[str]:
     return kept
 
 
+def _site_membership(layout: SceneLayout) -> tuple[tuple[ObjectInstance, ...], tuple[str, ...]]:
+    """The layout's objects in label order and each one's containing site,
+    computed on first use and kept on the layout."""
+    membership = layout.site_membership
+    if membership is None:
+        by_label = tuple(sorted(layout.objects, key=lambda o: o.label))
+        cells = tuple(containing_site((o.pose.x, o.pose.z), layout.sites) for o in by_label)
+        membership = (by_label, cells)
+        object.__setattr__(layout, "site_membership", membership)
+    return membership
+
+
 def candidate_labels(layout: SceneLayout, selected_sites: set[str]) -> tuple[ObjectInstance, ...]:
     """Initial-layout objects whose position falls in a selected site's cell.
 
@@ -211,9 +223,5 @@ def candidate_labels(layout: SceneLayout, selected_sites: set[str]) -> tuple[Obj
     unknown = set(selected_sites) - {s.id for s in layout.sites}
     if unknown:
         raise PartitionError(f"unknown site ids: {sorted(unknown)}")
-    chosen = [
-        o
-        for o in layout.objects
-        if containing_site((o.pose.x, o.pose.z), layout.sites) in selected_sites
-    ]
-    return tuple(sorted(chosen, key=lambda o: o.label))
+    by_label, cells = _site_membership(layout)
+    return tuple(o for o, cell in zip(by_label, cells) if cell in selected_sites)

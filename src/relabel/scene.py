@@ -111,12 +111,21 @@ class SceneBounds:
 
 @dataclass(frozen=True, slots=True)
 class SceneLayout:
-    """The ground-truth scene: bounds, Voronoi sites, and labeled objects."""
+    """The ground-truth scene: bounds, Voronoi sites, and labeled objects.
+
+    `site_membership` is filled by `partition.candidate_labels` the first
+    time the layout is gathered from: the objects in label order and the id
+    of each one's containing site.  It takes no part in equality, hashing or
+    repr, and a layout built by `dataclasses.replace` starts without it.
+    """
 
     name: str
     bounds: SceneBounds
     sites: tuple[VoronoiSite, ...]
     objects: tuple[ObjectInstance, ...]
+    site_membership: tuple[tuple[ObjectInstance, ...], tuple[str, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
@@ -172,7 +181,7 @@ class CameraState:
         object.__setattr__(self, "yaw", normalize_yaw(_require_finite(self.yaw, "camera.yaw")))
         if not 0.0 < self.fov < 360.0:
             raise SceneValidationError(f"camera.fov must be in (0, 360), got {self.fov}")
-        if self.range <= 0.0:
+        if _require_finite(self.range, "camera.range") <= 0.0:
             raise SceneValidationError(f"camera.range must be > 0, got {self.range}")
 
 
@@ -257,16 +266,31 @@ def _get(doc: dict, key: str, ctx: str) -> Any:
         raise SceneParseError(f"missing required field '{key}'{where}")
     return doc[key]
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
 def _num(doc: dict, key: str, ctx: str) -> float:
     value = _get(doc, key, ctx)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise SceneParseError(f"field '{key}' in {ctx or 'document'} must be a number")
     return float(value)
 
 def _pair(value: Any, what: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SceneParseError(f"field '{what}' must be a pair [x, z]")
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not all(map(_is_number, value)):
+        raise SceneParseError(f"field '{what}' must be a pair of numbers [x, z]")
     return float(value[0]), float(value[1])
+
+def _entries(doc: dict, key: str) -> list[tuple[str, dict]]:
+    """The top-level list `key`, each entry paired with its path; every entry
+    must be an object."""
+    value = _get(doc, key, "")
+    if not isinstance(value, list):
+        raise SceneParseError(f"field '{key}' must be a list")
+    entries = [(f"{key}[{i}]", entry) for i, entry in enumerate(value)]
+    for ctx, entry in entries:
+        if not isinstance(entry, dict):
+            raise SceneParseError(f"expected an object at {ctx}")
+    return entries
 
 
 def _pose_from_dict(doc: dict, ctx: str) -> PlanarPose:
@@ -299,8 +323,7 @@ def scene_from_dict(doc: dict) -> SceneLayout:
         width=_num(bounds_doc, "width", "bounds"), depth=_num(bounds_doc, "depth", "bounds")
     )
     sites = []
-    for i, site_doc in enumerate(_get(doc, "sites", "")):
-        ctx = f"sites[{i}]"
+    for ctx, site_doc in _entries(doc, "sites"):
         sites.append(
             VoronoiSite(
                 id=str(_get(site_doc, "id", ctx)),
@@ -308,8 +331,7 @@ def scene_from_dict(doc: dict) -> SceneLayout:
             )
         )
     objects = []
-    for i, obj_doc in enumerate(_get(doc, "objects", "")):
-        ctx = f"objects[{i}]"
+    for ctx, obj_doc in _entries(doc, "objects"):
         objects.append(
             ObjectInstance(
                 label=str(_get(obj_doc, "label", ctx)),
@@ -353,8 +375,7 @@ def observation_from_dict(doc: dict) -> Observation:
         range=_num(cam_doc, "range", "camera"),
     )
     detections = []
-    for i, det_doc in enumerate(_get(doc, "detections", "")):
-        ctx = f"detections[{i}]"
+    for ctx, det_doc in _entries(doc, "detections"):
         obj_type = det_doc.get("type")
         detections.append(
             Detection(

@@ -80,6 +80,33 @@ class TestExitCodes:
         assert "hint" in capsys.readouterr().err
 
 
+class TestMalformedInput:
+    """Malformed documents exit 3 with the path of the offending field."""
+
+    @pytest.mark.parametrize(
+        "document, edit, path",
+        [
+            ("obs", lambda doc: doc.update(detections=[1]), "detections[0]"),
+            ("obs", lambda doc: doc.update(detections=5), "'detections'"),
+            ("scene", lambda doc: doc.update(sites=5), "'sites'"),
+            ("obs", lambda doc: doc["camera"].update(position=["a", 1]), "camera.position"),
+            ("obs", lambda doc: doc["camera"].update(range=float("nan")), "camera.range"),
+        ],
+        ids=["detection-not-object", "detections-not-list", "sites-not-list",
+             "position-not-numbers", "range-nan"],
+    )
+    def test_exits_3_naming_the_field(
+        self, tmp_path, scene_file, observation_file, capsys, document, edit, path
+    ):
+        files = {"scene": scene_file, "obs": observation_file}
+        doc = json.loads(files[document].read_text())
+        edit(doc)
+        files[document] = tmp_path / f"bad-{document}.json"
+        files[document].write_text(json.dumps(doc))
+        assert run("assign", str(files["scene"]), str(files["obs"])) == 3
+        assert path in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

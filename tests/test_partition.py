@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from relabel import partition
 from relabel.partition import (
     PartitionError,
     VoronoiSite,
@@ -18,7 +20,10 @@ from relabel.partition import (
     site_probabilities,
     validate_threshold,
 )
-from relabel.scene import CameraState
+from relabel.scene import CameraState, SceneBounds, SceneLayout, scene_to_dict
+from relabel.scenegen import ARCHETYPES, CLUSTERED, SceneArchetype, generate_scene
+
+from .conftest import make_object
 
 
 def sites_at(*centers: tuple[float, float]) -> tuple[VoronoiSite, ...]:
@@ -178,3 +183,131 @@ class TestCandidateLabels:
     def test_empty_selection_rejected(self, two_site_layout):
         with pytest.raises(PartitionError):
             candidate_labels(two_site_layout, set())
+
+
+def scalar_candidates(layout, selected):
+    """The scalar filter: label-ordered objects whose containing site is
+    selected, membership recomputed for every object."""
+    return tuple(
+        o
+        for o in sorted(layout.objects, key=lambda o: o.label)
+        if containing_site((o.pose.x, o.pose.z), layout.sites) in selected
+    )
+
+
+def assert_gathers_like_scalar(layout):
+    all_ids = {s.id for s in layout.sites}
+    for selected in [{sid} for sid in sorted(all_ids)] + [all_ids]:
+        assert candidate_labels(layout, selected) == scalar_candidates(layout, selected)
+
+
+class TestMembershipMemo:
+    @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
+    @pytest.mark.parametrize("seed", range(5))
+    def test_archetypes_gather_like_scalar(self, archetype, seed):
+        assert_gathers_like_scalar(generate_scene(archetype, seed))
+
+    def test_large_scene_gathers_like_scalar(self):
+        large = SceneArchetype(
+            "S2000", sites=50, object_types=5, objects=2000, area=2000.0, placement=CLUSTERED
+        )
+        layout = generate_scene(large, 0)
+        all_ids = {s.id for s in layout.sites}
+        # the scalar cells once, then every selection filters by them
+        cells = {o.label: containing_site((o.pose.x, o.pose.z), layout.sites) for o in layout.objects}
+        by_label = sorted(layout.objects, key=lambda o: o.label)
+        for selected in [{sid} for sid in sorted(all_ids)] + [all_ids]:
+            expected = tuple(o for o in by_label if cells[o.label] in selected)
+            assert candidate_labels(layout, selected) == expected
+
+    @given(
+        centre=st.integers(min_value=1, max_value=19),
+        half_gap=st.integers(min_value=1, max_value=9),
+        site_offset=st.integers(min_value=0, max_value=20),
+        mirror_x=st.booleans(),
+        smaller_first=st.booleans(),
+        along=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=1, max_size=6),
+        others=st.lists(
+            st.tuples(st.floats(min_value=0.0, max_value=20.0), st.floats(min_value=0.0, max_value=20.0)),
+            max_size=6,
+        ),
+        extra_sites=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20)),
+            max_size=3,
+            unique=True,
+        ),
+    )
+    def test_bisector_points_go_to_smaller_id(
+        self, centre, half_gap, site_offset, mirror_x, smaller_first, along, others, extra_sites
+    ):
+        # two sites mirrored about the line {x or z} = centre: a point on that
+        # line is at exactly the same float distance from both
+        lo, hi = centre - half_gap, centre + half_gap
+        assume(lo >= 0 and hi <= 20)
+        if mirror_x:
+            centres = [(float(lo), float(site_offset)), (float(hi), float(site_offset))]
+            on_line = [(float(centre), t) for t in along]
+        else:
+            centres = [(float(site_offset), float(lo)), (float(site_offset), float(hi))]
+            on_line = [(t, float(centre)) for t in along]
+        ids = ["A", "B"] if smaller_first else ["B", "A"]
+        sites = [VoronoiSite(id=i, center=c) for i, c in zip(ids, centres)]
+        sites += [
+            VoronoiSite(id=f"X{k}", center=(float(x), float(z)))
+            for k, (x, z) in enumerate(extra_sites)
+            if (float(x), float(z)) not in centres
+        ]
+        points = on_line + list(others)
+        objects = [
+            make_object(f"obj-{len(points) - k:02d}", x, z) for k, (x, z) in enumerate(points)
+        ]
+        layout = SceneLayout(
+            name="bisector",
+            bounds=SceneBounds(width=20.0, depth=20.0),
+            sites=tuple(sites),
+            objects=tuple(objects),
+        )
+        assert_gathers_like_scalar(layout)
+        on_line_labels = {o.label for o in objects[: len(on_line)]}
+        for o in candidate_labels(layout, {"B"}):
+            assert o.label not in on_line_labels
+        if len(sites) == 2:
+            assert on_line_labels <= {o.label for o in candidate_labels(layout, {"A"})}
+
+    def test_gathering_leaves_value_semantics_unchanged(self):
+        layout = generate_scene("H1", 0)
+        before = (hash(layout), repr(layout), scene_to_dict(layout))
+        fresh = dataclasses.replace(layout)
+        candidate_labels(layout, {layout.sites[0].id})
+        assert layout.site_membership is not None and fresh.site_membership is None
+        assert layout == fresh
+        assert (hash(layout), repr(layout), scene_to_dict(layout)) == before
+
+    def test_replaced_layout_gathers_by_its_own_objects(self, two_site_layout):
+        assert [o.label for o in candidate_labels(two_site_layout, {"S01"})] == [
+            "chair-01",
+            "chair-02",
+        ]
+        # move chair-01 into the east cell and chair-04 into the west cell
+        moved = tuple(
+            dataclasses.replace(o, pose=dataclasses.replace(o.pose, x=10.0 - o.pose.x))
+            if o.label in ("chair-01", "chair-04")
+            else o
+            for o in two_site_layout.objects
+        )
+        changed = dataclasses.replace(two_site_layout, objects=moved)
+        assert [o.label for o in candidate_labels(changed, {"S01"})] == ["chair-02", "chair-04"]
+        assert [o.label for o in candidate_labels(changed, {"S02"})] == ["chair-01", "chair-03"]
+        assert_gathers_like_scalar(changed)
+
+    def test_membership_computed_once_per_object(self, two_site_layout, monkeypatch):
+        calls = []
+
+        def counting(position, sites):
+            calls.append(position)
+            return containing_site(position, sites)
+
+        monkeypatch.setattr(partition, "containing_site", counting)
+        candidate_labels(two_site_layout, {"S01"})
+        candidate_labels(two_site_layout, {"S01", "S02"})
+        assert len(calls) == len(two_site_layout.objects)
