@@ -14,7 +14,7 @@ time per threshold.
 from pathlib import Path
 
 from relabel import (
-    NoiseModel,
+    SweepConfig,
     aggregate,
     generate_scene,
     patrol_route,
@@ -26,17 +26,11 @@ layout = generate_scene("H1", seed=0)
 print(f"scene {layout.name}: {len(layout.objects)} objects, "
       f"{len(layout.sites)} sites")
 
-# One perturbed layout, every stop scored at each threshold.  Solve times
-# average 25 repeated solves of the identical prepared instance.
+# One perturbed layout (translation sd 0.1 m, rotation sd 15 degrees),
+# every stop scored at each threshold.
+config = SweepConfig(t_list=(0.1,), r_list=(15.0,), master_seed=0)
 thresholds = tuple(round(0.1 * i, 1) for i in range(11))
-result = run_threshold_sweep(
-    layout,
-    patrol_route(layout),
-    seed=0,
-    thresholds=thresholds,
-    noise=NoiseModel(t_mean=0.0, t_sd=0.1, r_mean=0.0, r_sd=15.0),
-    repeats=25,
-)
+result = run_threshold_sweep(layout, patrol_route(layout), config, thresholds)
 
 rows = aggregate(result, "threshold")
 print()

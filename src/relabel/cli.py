@@ -30,7 +30,6 @@ from .harness import (
     write_rows_csv,
     write_summary_csv,
 )
-from .noise import NoiseModel
 from .partition import PartitionError
 from .path import CameraPath, load_path
 from .scene import (
@@ -269,94 +268,72 @@ def _threshold_plots(result: SweepResult, out_dir: Path) -> list[str]:
     return [str(path)]
 
 
+# per sweep mode: the default (t_list, r_list) grid, the rotation sd that
+# `--noise A` implies, and the summaries and charts written
+_SWEEP_MODES = {
+    "noise": (None, DEFAULT_R_LIST, 0.0, ("translation", "rotation"), _noise_plots),
+    "threshold": ((0.1,), (15.0,), 15.0, ("threshold",), _threshold_plots),
+}
+
+
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     layout = _sweep_layout(args)
     route = _sweep_route(args, layout)
     out_dir = _out_dir(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    t_list, r_list = args.t_list, args.r_list
+    t_default, r_default, b_default, groupings, plots = _SWEEP_MODES[args.mode]
+    t_list = args.t_list if args.t_list is not None else t_default
+    r_list = args.r_list if args.r_list is not None else r_default
     if args.noise is not None:
         t_list = (args.noise[0],)
-        r_list = (args.noise[1] if len(args.noise) > 1 else 0.0,)
-
-    outputs: list[str] = []
-    if args.mode == "noise":
-        config = SweepConfig(
-            t_list=t_list,
-            r_list=r_list if r_list is not None else DEFAULT_R_LIST,
-            seeds=args.seeds,
-            master_seed=args.seed,
-            threshold=args.threshold,
-            weights=args.weights,
-            category_separated=args.category_separated,
-            fov=args.fov,
-            camera_range=args.range,
-            frame_rate=args.frame_rate,
-        )
-        result = run_noise_sweep(layout, route, config)
-        rows_path = out_dir / "rows.csv"
-        write_rows_csv(result, rows_path)
-        outputs.append(str(rows_path))
-        for grouping in ("translation", "rotation"):
-            summary_path = out_dir / f"{grouping}_summary.csv"
-            write_summary_csv(aggregate(result, grouping), summary_path)
-            outputs.append(str(summary_path))
-        if args.plots:
-            outputs.extend(_noise_plots(result, out_dir))
-        config_echo = {
-            "mode": "noise",
-            "t_list": None if config.t_list is None else list(config.t_list),
-            "r_list": list(config.r_list),
-            "seeds": config.seeds,
-            "threshold": config.threshold,
-        }
-    else:
-        noise = NoiseModel(
-            t_sd=args.noise[0] if args.noise else 0.1,
-            r_sd=args.noise[1] if args.noise and len(args.noise) > 1 else 15.0,
-        )
-        result = run_threshold_sweep(
-            layout,
-            route,
-            args.seed,
-            thresholds=args.thresholds if args.thresholds is not None else DEFAULT_THRESHOLDS,
-            noise=noise,
-            repeats=args.repeats,
-            weights=args.weights,
-            category_separated=args.category_separated,
-            fov=args.fov,
-            camera_range=args.range,
-            frame_rate=args.frame_rate,
-        )
-        rows_path = out_dir / "rows.csv"
-        write_rows_csv(result, rows_path)
-        outputs.append(str(rows_path))
-        summary_path = out_dir / "threshold_summary.csv"
-        write_summary_csv(aggregate(result, "threshold"), summary_path)
-        outputs.append(str(summary_path))
-        if args.plots:
-            outputs.extend(_threshold_plots(result, out_dir))
-        config_echo = {
-            "mode": "threshold",
-            "noise": [noise.t_sd, noise.r_sd],
-            "thresholds": list(args.thresholds) if args.thresholds is not None else list(DEFAULT_THRESHOLDS),
-            "repeats": args.repeats,
-        }
-
-    config_echo.update(
-        {
-            "weights": None if args.weights is None else [args.weights.w_t, args.weights.w_r],
-            "category_separated": args.category_separated,
-            "fov": args.fov,
-            "range": args.range,
-            "frame_rate": args.frame_rate,
-            "speed": args.speed,
-            "stop_interval": args.stop_interval,
-            "scene": args.scene,
-            "archetype": None if args.scene is not None else args.archetype,
-        }
+        r_list = (args.noise[1] if len(args.noise) > 1 else b_default,)
+    config = SweepConfig(
+        t_list=t_list,
+        r_list=r_list,
+        seeds=args.seeds,
+        master_seed=args.seed,
+        threshold=args.threshold,
+        weights=args.weights,
+        category_separated=args.category_separated,
+        fov=args.fov,
+        camera_range=args.range,
+        frame_rate=args.frame_rate,
     )
+    if args.mode == "noise":
+        result = run_noise_sweep(layout, route, config)
+        mode_echo = {"threshold": config.threshold}
+    else:
+        thresholds = args.thresholds if args.thresholds is not None else DEFAULT_THRESHOLDS
+        result = run_threshold_sweep(layout, route, config, thresholds)
+        mode_echo = {"thresholds": list(thresholds)}
+
+    rows_path = out_dir / "rows.csv"
+    write_rows_csv(result, rows_path)
+    outputs = [str(rows_path)]
+    for grouping in groupings:
+        summary_path = out_dir / f"{grouping}_summary.csv"
+        write_summary_csv(aggregate(result, grouping), summary_path)
+        outputs.append(str(summary_path))
+    if args.plots:
+        outputs.extend(plots(result, out_dir))
+
+    config_echo = {
+        "mode": args.mode,
+        "t_list": None if config.t_list is None else list(config.t_list),
+        "r_list": list(config.r_list),
+        "seeds": config.seeds,
+        **mode_echo,
+        "weights": None if args.weights is None else [args.weights.w_t, args.weights.w_r],
+        "category_separated": args.category_separated,
+        "fov": args.fov,
+        "range": args.range,
+        "frame_rate": args.frame_rate,
+        "speed": args.speed,
+        "stop_interval": args.stop_interval,
+        "scene": args.scene,
+        "archetype": None if args.scene is not None else args.archetype,
+    }
     _write_manifest(
         out_dir / "manifest.json",
         "sweep",
@@ -421,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--thresholds", type=_parse_float_list, default=None, metavar="T1,T2,...",
         help="threshold grid (threshold mode; default 0..1 step 0.05)",
     )
-    swp.add_argument("--repeats", type=int, default=100, help="timed solves per stop (threshold mode)")
     swp.add_argument("--weights", type=_parse_weights, default=None, metavar="WT,WR")
     swp.add_argument("--category-separated", action="store_true")
     swp.add_argument("--fov", type=float, default=60.0)

@@ -1,16 +1,18 @@
 """Simulation experiments over synthetic scenes.
 
-Two experiment families:
+One sweep loop serves both experiments.  For every (repetition, a, b) cell
+of a `SweepConfig` it perturbs the layout once, with translation sd a and
+rotation sd b, and then scores every camera stop along the route at every
+pruning threshold:
 
-* noise sweep: perturb a layout with a grid of translation and rotation
-  noise levels and score identity-resolution accuracy at every camera stop
-  along a route;
-* threshold sweep: fix one mildly perturbed layout and vary the site-pruning
-  threshold, recording accuracy, candidate-pool size, and mean solve time.
+* noise sweep: a grid of noise cells, each scored at `config.threshold`;
+* threshold sweep: usually one mild noise cell (0.1 m, 15 degrees), scored
+  at a grid of thresholds, recording accuracy, candidate-pool size, and
+  solve time.
 
-Every stop produces one row.  Rows are keyed and sorted, and are
-deterministic for a given (layout, path, config, seed) except for the
-wall-clock solve_ms field.
+Every (cell, threshold, stop) produces one row.  Rows are keyed and sorted,
+and are deterministic for a given (layout, path, config) except for the
+wall-clock solve_ms field, the time of one solve.
 """
 
 from __future__ import annotations
@@ -112,10 +114,12 @@ def _row_key(r: StopRecord) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class SweepConfig:
-    """Noise grid and solver settings for a noise sweep.
+    """Noise grid and solver settings for a sweep.
 
-    t_list None means the per-scene default grid.  seeds repeats every
-    (a, b) cell with independently derived perturbation streams.
+    t_list None means the per-scene default grid.  Every (a, b) cell runs
+    `seeds` times, with independently derived perturbation streams.  A
+    threshold sweep scores each cell at its own threshold grid in place of
+    `threshold`.
     """
 
     t_list: tuple[float, ...] | None = None
@@ -155,7 +159,6 @@ def score_stop(
     threshold: float,
     weights: CostWeights | None,
     category_separated: bool,
-    repeats: int = 1,
 ) -> StopRecord:
     """Observe the perturbed layout from one stop, resolve against the
     initial layout, and score against the known identities.
@@ -177,9 +180,8 @@ def score_stop(
     m = len(prepared.candidates)
     try:
         start = time.perf_counter()
-        for _ in range(repeats):
-            result = solve(prepared.problem)
-        solve_ms = (time.perf_counter() - start) / repeats * 1000.0
+        result = solve(prepared.problem)
+        solve_ms = (time.perf_counter() - start) * 1000.0
     except InfeasibleAssignmentError:
         return StopRecord(
             initial.name, a, b, stop, n, m, None, None, None, threshold,
@@ -194,11 +196,14 @@ def score_stop(
     )
 
 
-def run_noise_sweep(layout: SceneLayout, path: CameraPath, config: SweepConfig) -> SweepResult:
-    """Score every (noise cell, repetition, stop) combination on one layout.
+def _sweep(
+    layout: SceneLayout, path: CameraPath, config: SweepConfig, thresholds: tuple[float, ...]
+) -> SweepResult:
+    """Score every (repetition, a, b) cell at every threshold and stop.
 
-    Each (a, b, rep) cell perturbs the initial layout afresh with its own
-    derived seed; the camera then travels the whole route once per cell.
+    Each cell perturbs the initial layout once, with its own derived seed,
+    and every threshold reuses that perturbation, so rows of one cell differ
+    across thresholds only through pruning.
     """
     stops = camera_stops(
         path, fov=config.fov, range=config.camera_range, frame_rate=config.frame_rate
@@ -212,53 +217,39 @@ def run_noise_sweep(layout: SceneLayout, path: CameraPath, config: SweepConfig) 
                 perturbed = perturb_layout(
                     layout, noise, derive_seed(config.master_seed, rep, a_idx, b_idx)
                 )
-                for stop_idx, camera in enumerate(stops):
-                    rows.append(
-                        score_stop(
-                            layout, perturbed, camera, stop_idx, a, b, rep,
-                            config.threshold, config.weights, config.category_separated,
+                for threshold in thresholds:
+                    for stop_idx, camera in enumerate(stops):
+                        rows.append(
+                            score_stop(
+                                layout, perturbed, camera, stop_idx, a, b, rep, threshold,
+                                config.weights, config.category_separated,
+                            )
                         )
-                    )
     return SweepResult(rows=tuple(rows))
+
+
+def run_noise_sweep(layout: SceneLayout, path: CameraPath, config: SweepConfig) -> SweepResult:
+    """Score every (noise cell, repetition, stop) combination on one layout
+    at `config.threshold`; the camera travels the whole route once per cell."""
+    return _sweep(layout, path, config, (config.threshold,))
 
 
 def run_threshold_sweep(
     layout: SceneLayout,
     path: CameraPath,
-    seed: int,
+    config: SweepConfig,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-    noise: NoiseModel = NoiseModel(t_mean=0.0, t_sd=0.1, r_mean=0.0, r_sd=15.0),
-    repeats: int = 100,
-    weights: CostWeights | None = None,
-    category_separated: bool = False,
-    frame_rate: float = 60.0,
-    fov: float = 60.0,
-    camera_range: float = 10.0,
 ) -> SweepResult:
-    """Score one perturbed layout at every pruning threshold.
+    """Score the noise cells of `config` at every pruning threshold in place
+    of `config.threshold`.
 
-    The same mild perturbation (default T(0, 0.1), R(0, 15)) is reused
-    across thresholds so rows differ only through pruning.  solve_ms is the
-    mean wall-clock time of `repeats` back-to-back solves of the identical
-    instance.
+    The paper's trade-off is one mild cell:
+    `SweepConfig(t_list=(0.1,), r_list=(15.0,), master_seed=seed)`.
     """
     thresholds = tuple(validate_threshold(t) for t in thresholds)
     if not thresholds:
         raise SceneValidationError("at least one threshold is required")
-    if repeats < 1:
-        raise SceneValidationError(f"repeats must be >= 1, got {repeats}")
-    stops = camera_stops(path, fov=fov, range=camera_range, frame_rate=frame_rate)
-    perturbed = perturb_layout(layout, noise, derive_seed(seed, 0))
-    rows: list[StopRecord] = []
-    for threshold in thresholds:
-        for stop_idx, camera in enumerate(stops):
-            rows.append(
-                score_stop(
-                    layout, perturbed, camera, stop_idx, noise.t_sd, noise.r_sd, 0,
-                    threshold, weights, category_separated, repeats=repeats,
-                )
-            )
-    return SweepResult(rows=tuple(rows))
+    return _sweep(layout, path, config, thresholds)
 
 
 # ---------------------------------------------------------------------------

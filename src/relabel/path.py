@@ -16,7 +16,18 @@ from pathlib import Path
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .scene import CameraState, SceneParseError, SceneValidationError, normalize_yaw
+from .scene import (
+    CameraState,
+    SceneParseError,
+    SceneValidationError,
+    _entries,
+    _get,
+    _load_json,
+    _num,
+    _pair,
+    _require_finite,
+    normalize_yaw,
+)
 
 Point = tuple[float, float]
 
@@ -87,9 +98,9 @@ class CameraPath:
                 raise SceneValidationError(
                     f"segments {i} and {i + 1} are disconnected (gap {gap:.3g} m)"
                 )
-        if not self.speed > 0.0:
+        if _require_finite(self.speed, "path speed") <= 0.0:
             raise SceneValidationError(f"path speed must be > 0, got {self.speed}")
-        if not self.stop_interval >= 1.0:
+        if _require_finite(self.stop_interval, "stop interval") < 1.0:
             raise SceneValidationError(f"stop interval must be >= 1 frame, got {self.stop_interval}")
 
 
@@ -160,8 +171,8 @@ def camera_stops(
         raise SceneValidationError(f"frame rate must be > 0, got {frame_rate}")
     lengths = segment_lengths(path)
     total = sum(lengths)
-    if total <= 0.0:
-        raise SceneValidationError("path has zero length")
+    if not 0.0 < total < math.inf:
+        raise SceneValidationError(f"path length must be finite and > 0, got {total}")
     spacing = path.speed * path.stop_interval / frame_rate
     marks = _stop_marks(total, spacing)
     stops = []
@@ -232,32 +243,20 @@ def path_to_dict(path: CameraPath) -> dict:
 
 
 def path_from_dict(doc: dict) -> CameraPath:
-    if not isinstance(doc, dict) or "segments" not in doc:
-        raise SceneParseError("path document must contain a 'segments' list")
-    segments = []
-    for i, seg_doc in enumerate(doc["segments"]):
-        ctx = f"segments[{i}]"
-        if not isinstance(seg_doc, dict):
-            raise SceneParseError(f"{ctx} must be an object with p0..p3")
-        try:
-            corners = [seg_doc[k] for k in ("p0", "p1", "p2", "p3")]
-        except KeyError as exc:
-            raise SceneParseError(f"{ctx} is missing control point {exc}") from exc
-        segments.append(BezierSegment(*[_as_point(c, f"{ctx}.p{j}") for j, c in enumerate(corners)]))
+    corners = ("p0", "p1", "p2", "p3")
+    segments = [
+        BezierSegment(*(_pair(_get(seg_doc, k, ctx), f"{ctx}.{k}") for k in corners))
+        for ctx, seg_doc in _entries(doc, "segments")
+    ]
     return CameraPath(
         segments=tuple(segments),
-        speed=float(doc.get("speed", 1.0)),
-        stop_interval=float(doc.get("stop_interval", 100.0)),
+        speed=_num(doc, "speed", "") if "speed" in doc else 1.0,
+        stop_interval=_num(doc, "stop_interval", "") if "stop_interval" in doc else 100.0,
     )
 
 
 def load_path(path: str | Path) -> CameraPath:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
-    return path_from_dict(doc)
+    return path_from_dict(_load_json(path))
 
 
 def save_path(route: CameraPath, path: str | Path) -> None:

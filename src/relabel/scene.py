@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -267,7 +268,10 @@ def _get(doc: dict, key: str, ctx: str) -> Any:
     return doc[key]
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # JSON integers are unbounded; one beyond the float range is no number here
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 def _num(doc: dict, key: str, ctx: str) -> float:
     value = _get(doc, key, ctx)
@@ -393,6 +397,8 @@ def _load_json(path: str | Path) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SceneParseError(f"{path}: line {exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the int conversion limit
+        raise SceneParseError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def load_scene(path: str | Path) -> SceneLayout:

@@ -31,7 +31,6 @@ from relabel.harness import (
     run_noise_sweep,
     run_threshold_sweep,
 )
-from relabel.noise import NoiseModel
 from relabel.partition import VoronoiSite, prune_sites, site_probabilities
 from relabel.scene import BoxDims, CameraState, PlanarPose, SceneBounds
 from relabel.scenegen import ARCHETYPES, generate_scene, patrol_route
@@ -208,11 +207,11 @@ def test_criterion_7_threshold_tradeoff():
         result = run_threshold_sweep(
             layout,
             patrol_route(layout),
-            seed=0,
-            thresholds=DEFAULT_THRESHOLDS,
-            noise=NoiseModel(t_mean=0.0, t_sd=0.1, r_mean=0.0, r_sd=15.0),
-            repeats=100,
-            weights=CostWeights(w_t=2.52, w_r=1.0),
+            SweepConfig(
+                t_list=(0.1,), r_list=(15.0,), master_seed=0,
+                weights=CostWeights(w_t=2.52, w_r=1.0),
+            ),
+            DEFAULT_THRESHOLDS,
         )
         by_stop: dict[int, list] = {}
         for row in result.rows:
@@ -260,7 +259,7 @@ def test_criterion_8_sweep_determinism(tmp_path):
             code = cli_main(
                 [
                     "sweep", "--archetype", "M2", "--seed", "5", "--mode", "threshold",
-                    "--thresholds", "0,0.5,1", "--repeats", "3",
+                    "--thresholds", "0,0.5,1",
                     "--out-dir", str(threshold_dir),
                 ]
             )

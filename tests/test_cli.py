@@ -12,7 +12,7 @@ from relabel.cli import main
 from relabel.noise import NoiseModel, perturb_layout
 from relabel.scene import load_scene, save_observation, synthesize_observation
 from relabel.scenegen import generate_scene, patrol_route
-from relabel.path import camera_stops
+from relabel.path import camera_stops, path_to_dict
 
 
 def run(*argv: str) -> int:
@@ -106,6 +106,37 @@ class TestMalformedInput:
         assert run("assign", str(files["scene"]), str(files["obs"])) == 3
         assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda doc: doc.update(segments=5), "'segments'"),
+            (lambda doc: doc.update(speed="fast"), "'speed'"),
+            (lambda doc: doc["segments"][0].update(p0=["a", 0]), "segments[0].p0"),
+            (lambda doc: doc.update(stop_interval=None), "'stop_interval'"),
+            (lambda doc: doc.update(stop_interval=float("inf")), "stop interval"),
+            (lambda doc: doc["segments"][0].update(p1=[1e308, 0]), "path length"),
+        ],
+        ids=["segments-not-list", "speed-not-number", "point-not-numbers",
+             "stop-interval-null", "stop-interval-infinite", "length-overflows"],
+    )
+    def test_path_file_exits_3_naming_the_field(self, tmp_path, scene_file, capsys, edit, field):
+        doc = path_to_dict(patrol_route(load_scene(scene_file)))
+        edit(doc)
+        route = tmp_path / "bad-path.json"
+        route.write_text(json.dumps(doc))
+        assert run("sweep", "--scene", str(scene_file), "--path", str(route), "--noise", "0.1") == 3
+        assert field in capsys.readouterr().err
+
+    def test_overlong_integer_exits_3(self, tmp_path, capsys):
+        route = tmp_path / "long.json"
+        route.write_text('{"segments": [], "speed": 1' + "0" * 5000 + "}")
+        assert run("sweep", "--archetype", "L1", "--path", str(route)) == 3
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_infinite_stop_interval_flag_exits_3(self, capsys):
+        assert run("sweep", "--archetype", "L1", "--stop-interval", "inf") == 3
+        assert "stop interval" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_same_seed_same_bytes(self, tmp_path):
@@ -188,7 +219,7 @@ class TestSweep:
         assert (
             run(
                 "sweep", "--archetype", "L1", "--seed", "2", "--mode", "threshold",
-                "--thresholds", "0,0.5,1", "--repeats", "2",
+                "--thresholds", "0,0.5,1",
                 "--out-dir", str(out), "--plots",
             )
             == 0
@@ -198,6 +229,26 @@ class TestSweep:
         with (out / "rows.csv").open(newline="") as fh:
             thresholds = {r["threshold"] for r in csv.DictReader(fh)}
         assert thresholds == {"0.0", "0.5", "1.0"}
+
+    @pytest.mark.parametrize(
+        "noise_args, cells",
+        [
+            (("--t-list", "0.1,0.3", "--r-list", "15"), {("0.1", "15.0"), ("0.3", "15.0")}),
+            (("--noise", "0.2"), {("0.2", "15.0")}),
+        ],
+        ids=["grid", "single-cell"],
+    )
+    def test_threshold_sweep_noise_flags(self, tmp_path, noise_args, cells):
+        out = tmp_path / "tgrid"
+        assert (
+            run(
+                "sweep", "--archetype", "L1", "--mode", "threshold", "--thresholds", "0.5",
+                *noise_args, "--out-dir", str(out),
+            )
+            == 0
+        )
+        with (out / "rows.csv").open(newline="") as fh:
+            assert {(r["a"], r["b"]) for r in csv.DictReader(fh)} == cells
 
     def test_scene_file_source(self, tmp_path, scene_file):
         out = tmp_path / "filesweep"

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import pytest
 
+from relabel import harness
 from relabel.harness import (
     CSV_COLUMNS,
     StopRecord,
@@ -127,7 +129,9 @@ class TestNoiseSweep:
 class TestThresholdSweep:
     def test_same_perturbation_all_thresholds(self, l1_setup):
         layout, route = l1_setup
-        result = run_threshold_sweep(layout, route, 0, thresholds=(0.0, 1.0), repeats=2)
+        result = run_threshold_sweep(
+            layout, route, SweepConfig(t_list=(0.1,), r_list=(15.0,)), thresholds=(0.0, 1.0)
+        )
         by_threshold = {}
         for r in result.rows:
             by_threshold.setdefault(r.threshold, []).append(r)
@@ -137,10 +141,37 @@ class TestThresholdSweep:
             assert lo.stop == hi.stop and lo.n == hi.n
             assert lo.m <= hi.m
 
+    def test_one_threshold_is_the_noise_sweep(self, l1_setup):
+        layout, route = l1_setup
+        config = SweepConfig(t_list=(0.1, 0.5), r_list=(15.0,), seeds=2, master_seed=4)
+        untimed = lambda result: [replace(r, solve_ms=None) for r in result.rows]
+        for t in (0.25, 1.0):
+            swept = run_threshold_sweep(layout, route, config, (t,))
+            noise = run_noise_sweep(layout, route, replace(config, threshold=t))
+            assert untimed(swept) == untimed(noise)
+
+    def test_each_cell_perturbed_once(self, l1_setup, monkeypatch):
+        layout, route = l1_setup
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return perturb_layout(*args)
+
+        monkeypatch.setattr(harness, "perturb_layout", counting)
+        config = SweepConfig(t_list=(0.1, 0.5), r_list=(0.0, 15.0))
+        result = run_threshold_sweep(layout, route, config, (0.25, 0.5, 1.0))
+        assert len(calls) == 4
+        assert {(r.a, r.b, r.threshold) for r in result.rows} == {
+            (a, b, t) for a in (0.1, 0.5) for b in (0.0, 15.0) for t in (0.25, 0.5, 1.0)
+        }
+
     def test_rejects_empty_thresholds(self, l1_setup):
         layout, route = l1_setup
         with pytest.raises(SceneValidationError):
-            run_threshold_sweep(layout, route, 0, thresholds=())
+            run_threshold_sweep(
+                layout, route, SweepConfig(t_list=(0.1,), r_list=(15.0,)), thresholds=()
+            )
 
 
 class TestAggregate:

@@ -60,6 +60,10 @@ class TestPathValidation:
             CameraPath(segments=(straight(),), speed=0.0)
         with pytest.raises(SceneValidationError):
             CameraPath(segments=(straight(),), speed=1.0, stop_interval=0.5)
+        with pytest.raises(SceneValidationError):
+            CameraPath(segments=(straight(),), speed=math.inf)
+        with pytest.raises(SceneValidationError):
+            CameraPath(segments=(straight(),), speed=1.0, stop_interval=math.inf)
 
     def test_empty_segments_rejected(self):
         with pytest.raises(SceneValidationError):
