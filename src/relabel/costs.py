@@ -8,6 +8,12 @@ ratio).  The three terms combine as
     total = c_d * (w_t * c_t + w_r * c_r)
 
 so a box mismatch scales up whatever motion cost the pair already carries.
+
+`build_cost_matrix` scores c_d once per distinct pair of boxes, not once
+per cell: identical objects share one box, so a stop full of them has few
+distinct boxes on either side.  Boxes are told apart by value, never by
+object type, and every cell gets the same float operations as a 1 x 1
+build of its own pair.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from .scene import BoxDims, Detection, ObjectInstance, PlanarPose, SceneBounds, SceneValidationError
 
 _DIM_PERMUTATIONS = tuple(itertools.permutations(range(3)))
+_PERM_INDEX = np.array(_DIM_PERMUTATIONS, dtype=np.intp)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,6 +158,25 @@ class CostMatrix:
         )
 
 
+def _pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np.ndarray:
+    """x, z and yaw of each item's pose as three contiguous rows."""
+    poses = [item.pose for item in items]
+    return np.array(
+        [[p.x for p in poses], [p.z for p in poses], [p.yaw for p in poses]], dtype=float
+    ).reshape(3, len(poses))
+
+
+def _distinct_boxes(
+    items: tuple[Detection, ...] | tuple[ObjectInstance, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct box among `items` once, as a (k, 3) array, and the row
+    of every item's box in it.  Boxes are told apart by value, not by type."""
+    rows: dict[BoxDims, int] = {}
+    index = [rows.setdefault(item.dims, len(rows)) for item in items]
+    boxes = np.array([(b.w, b.h, b.d) for b in rows], dtype=float).reshape(len(rows), 3)
+    return boxes, np.array(index, dtype=np.intp)
+
+
 def build_cost_matrix(
     detections: tuple[Detection, ...],
     candidates: tuple[ObjectInstance, ...],
@@ -165,27 +191,18 @@ def build_cost_matrix(
     labels = tuple(c.label for c in candidates)
     if len(set(labels)) != len(labels):
         raise SceneValidationError("candidate labels must be unique")
-    n, m = len(detections), len(candidates)
-    diagonal = bounds.diagonal()
+    det_x, det_z, det_yaw = _pose_planes(detections)
+    cand_x, cand_z, cand_yaw = _pose_planes(candidates)
+    c_t = np.hypot(det_x[:, None] - cand_x, det_z[:, None] - cand_z) / bounds.diagonal()
+    c_r = np.sin(np.abs(det_yaw[:, None] - cand_yaw) * (np.pi / 360.0))
 
-    det_xz = np.array([[d.pose.x, d.pose.z] for d in detections], dtype=float).reshape(n, 2)
-    cand_xz = np.array([[c.pose.x, c.pose.z] for c in candidates], dtype=float).reshape(m, 2)
-    diff = det_xz[:, None, :] - cand_xz[None, :, :]
-    c_t = np.hypot(diff[:, :, 0], diff[:, :, 1]) / diagonal
-
-    det_yaw = np.array([d.pose.yaw for d in detections], dtype=float).reshape(n)
-    cand_yaw = np.array([c.pose.yaw for c in candidates], dtype=float).reshape(m)
-    delta = np.abs(det_yaw[:, None] - cand_yaw[None, :])
-    c_r = np.sin(delta * (np.pi / 360.0))
-
-    det_dims = np.array([[d.dims.w, d.dims.h, d.dims.d] for d in detections], dtype=float).reshape(n, 3)
-    cand_dims = np.array([[c.dims.w, c.dims.h, c.dims.d] for c in candidates], dtype=float).reshape(m, 3)
-    c_d = np.full((n, m), np.inf)
-    for perm in _DIM_PERMUTATIONS:
-        ratio = det_dims[:, None, list(perm)] / cand_dims[None, :, :]
-        prod = np.prod(np.maximum(ratio, 1.0 / ratio), axis=2)
-        np.minimum(c_d, prod, out=c_d)
-    c_d = c_d.reshape(n, m)
+    # identical objects share one box, so c_d is scored per distinct pair:
+    # ratio is (detection box, candidate box, axis permutation, axis)
+    det_boxes, det_row = _distinct_boxes(detections)
+    cand_boxes, cand_col = _distinct_boxes(candidates)
+    ratio = det_boxes[:, None, _PERM_INDEX] / cand_boxes[None, :, None, :]
+    fit = np.prod(np.maximum(ratio, 1.0 / ratio), axis=3).min(axis=2)
+    c_d = fit[det_row[:, None], cand_col]
 
     total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
     return CostMatrix(

@@ -34,6 +34,11 @@ Point = tuple[float, float]
 # control-point offset that makes 4 cubic arcs approximate a circle
 _CIRCLE_KAPPA = 0.5522847498307936
 
+# most stop spacings one route may hold, so at most MAX_STOPS + 1 stops; they
+# are counted before any is built, so a spacing that is tiny against the route
+# length is rejected instead of exhausting memory
+MAX_STOPS = 100_000
+
 
 def _as_point(value, what: str) -> Point:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -150,7 +155,13 @@ def pose_at_arc(path: CameraPath, s: float) -> tuple[Point, float]:
 def _stop_marks(total: float, spacing: float) -> list[float]:
     # the epsilon keeps a stop that lands exactly on the endpoint from being
     # lost to float dust in total / spacing
-    marks = [k * spacing for k in range(int(total / spacing + 1e-9) + 1)]
+    steps = total / spacing + 1e-9 if spacing > 0.0 else math.inf
+    if steps >= MAX_STOPS:
+        raise SceneValidationError(
+            f"stop spacing {spacing:.6g} m is too small for a {total:.6g} m route: "
+            f"it needs more than {MAX_STOPS} stops"
+        )
+    marks = [k * spacing for k in range(int(steps) + 1)]
     if total - marks[-1] > 1e-9:
         marks.append(total)
     return marks
@@ -165,7 +176,9 @@ def camera_stops(
     """Camera states at every stop along the route, endpoints included.
 
     Stop spacing is speed * stop_interval / frame_rate meters.  The final
-    endpoint is appended unless a regular stop already lands on it.
+    endpoint is appended unless a regular stop already lands on it.  A route
+    whose length holds MAX_STOPS spacings or more is rejected before any
+    stop is built.
     """
     if frame_rate <= 0.0:
         raise SceneValidationError(f"frame rate must be > 0, got {frame_rate}")

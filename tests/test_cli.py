@@ -8,11 +8,12 @@ import json
 import pytest
 
 from relabel import __version__
+from relabel import path as route_module
 from relabel.cli import main
 from relabel.noise import NoiseModel, perturb_layout
 from relabel.scene import load_scene, save_observation, synthesize_observation
 from relabel.scenegen import generate_scene, patrol_route
-from relabel.path import camera_stops, path_to_dict
+from relabel.path import MAX_STOPS, camera_stops, path_length, path_to_dict
 
 
 def run(*argv: str) -> int:
@@ -126,6 +127,33 @@ class TestMalformedInput:
         route.write_text(json.dumps(doc))
         assert run("sweep", "--scene", str(scene_file), "--path", str(route), "--noise", "0.1") == 3
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "speed, stop_interval",
+        [
+            # 2 * MAX_STOPS spacings of speed * 100 / 60 m along the route
+            (lambda length: length * 0.6 / (2 * MAX_STOPS), 100.0),
+            # the smallest positive speed: 5e-324 * 1 / 60 underflows to 0
+            (lambda length: 5e-324, 1.0),
+        ],
+        ids=["over-limit", "spacing-underflows"],
+    )
+    def test_too_many_stops_exits_3(
+        self, tmp_path, scene_file, capsys, monkeypatch, speed, stop_interval
+    ):
+        # the stop count is checked before any stop is placed, and placing
+        # one fails the test, so no unbounded list of stops is ever built
+        def placed(*args):
+            raise AssertionError("a stop was placed")
+
+        monkeypatch.setattr(route_module, "_locate", placed)
+        route = patrol_route(load_scene(scene_file))
+        doc = path_to_dict(route)
+        doc.update(speed=speed(path_length(route)), stop_interval=stop_interval)
+        bad = tmp_path / "crawl.json"
+        bad.write_text(json.dumps(doc))
+        assert run("sweep", "--scene", str(scene_file), "--path", str(bad), "--noise", "0.1") == 3
+        assert f"more than {MAX_STOPS} stops" in capsys.readouterr().err
 
     def test_overlong_integer_exits_3(self, tmp_path, capsys):
         route = tmp_path / "long.json"

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relabel.costs import (
@@ -19,7 +19,14 @@ from relabel.costs import (
     total_cost,
     translation_cost,
 )
-from relabel.scene import BoxDims, PlanarPose, SceneBounds, SceneValidationError
+from relabel.scene import (
+    BoxDims,
+    Detection,
+    ObjectInstance,
+    PlanarPose,
+    SceneBounds,
+    SceneValidationError,
+)
 
 from .conftest import make_detection, make_object
 
@@ -164,3 +171,96 @@ class TestCostMatrix:
         with pytest.raises(ValueError):
             matrix.total[0, 0] = 99.0
         assert isinstance(matrix.total, np.ndarray)
+
+
+# boxes drawn from a small pool repeat, as identical objects do; the pool
+# holds one box twice under two orders of its axes, so only a search over
+# axis permutations finds their fit of 1
+BOX_POOL = ((0.5, 0.9, 0.5), (0.9, 0.5, 0.5), (1.5, 0.7, 0.9), (0.4, 1.0, 0.6))
+extents = st.floats(min_value=0.05, max_value=5.0)
+pooled_boxes = st.sampled_from(BOX_POOL)
+any_boxes = st.tuples(extents, extents, extents)
+poses = st.tuples(
+    st.floats(min_value=-2.0, max_value=12.0),
+    st.floats(min_value=-2.0, max_value=12.0),
+    st.floats(min_value=-720.0, max_value=720.0),
+)
+# object types are drawn apart from boxes: a scene file may give two objects
+# of one type different boxes, so the box, not the type, decides c_d
+types = st.sampled_from(("chair", "table"))
+
+
+def _detections(boxes):
+    return st.lists(st.tuples(poses, boxes, types | st.none()), max_size=7).map(
+        lambda items: tuple(
+            Detection(pose=PlanarPose(*pose), dims=BoxDims(*box), object_type=t)
+            for pose, box, t in items
+        )
+    )
+
+
+def _candidates(boxes):
+    return st.lists(st.tuples(poses, boxes, types), max_size=9).map(
+        lambda items: tuple(
+            ObjectInstance(
+                label=f"obj-{j:02d}", object_type=t, pose=PlanarPose(*pose), dims=BoxDims(*box)
+            )
+            for j, (pose, box, t) in enumerate(items)
+        )
+    )
+
+
+class TestCostMatrixCells:
+    """Each cell of a matrix equals, byte for byte, the 1 x 1 matrix of its
+    own pair, whichever other boxes share the build."""
+
+    WEIGHTS = CostWeights(w_t=2.52, w_r=1.0)
+
+    def assert_cellwise(self, detections, candidates):
+        matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
+        assert matrix.shape == (len(detections), len(candidates))
+        for i, det in enumerate(detections):
+            for j, cand in enumerate(candidates):
+                alone = build_cost_matrix((det,), (cand,), B5, self.WEIGHTS)
+                for name in ("c_t", "c_r", "c_d", "total"):
+                    cell = getattr(matrix, name)[i, j]
+                    assert cell.tobytes() == getattr(alone, name)[0, 0].tobytes(), name
+                assert matrix.c_d[i, j] == pytest.approx(
+                    dimension_cost(cand.dims, det.dims), rel=1e-12
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(_detections(pooled_boxes), _candidates(pooled_boxes | any_boxes))
+    def test_repeated_boxes(self, detections, candidates):
+        self.assert_cellwise(detections, candidates)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(any_boxes, unique=True, max_size=7), st.data())
+    def test_all_distinct_boxes(self, det_boxes, data):
+        detections = tuple(
+            Detection(pose=PlanarPose(*data.draw(poses)), dims=BoxDims(*box)) for box in det_boxes
+        )
+        cand_boxes = data.draw(st.lists(any_boxes, unique=True, max_size=9))
+        candidates = tuple(
+            ObjectInstance(f"obj-{j:02d}", "chair", PlanarPose(*data.draw(poses)), BoxDims(*box))
+            for j, box in enumerate(cand_boxes)
+        )
+        self.assert_cellwise(detections, candidates)
+
+    def test_empty_sides(self):
+        det, cand = (make_detection(1, 1),), (make_object("a-01", 1, 1),)
+        for detections, candidates in (((), cand), (det, ()), ((), ())):
+            matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
+            for name in ("c_t", "c_r", "c_d", "total"):
+                assert getattr(matrix, name).shape == (len(detections), len(candidates))
+
+    def test_same_type_different_boxes(self):
+        # two chairs with different boxes: scoring c_d per type would give
+        # both the first chair's fit
+        detections = (make_detection(1, 1, dims=(0.5, 0.9, 0.5), object_type="chair"),)
+        candidates = (
+            make_object("chair-01", 1, 1, dims=(0.5, 0.9, 0.5)),
+            make_object("chair-02", 2, 2, dims=(1.0, 0.9, 0.5)),
+        )
+        matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
+        assert matrix.c_d.tolist() == [[1.0, 2.0]]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from relabel.path import (
+    MAX_STOPS,
     BezierSegment,
     CameraPath,
     camera_stops,
@@ -19,6 +20,7 @@ from relabel.path import (
     path_to_dict,
     pose_at_arc,
     save_path,
+    _stop_marks,
 )
 from relabel.scene import SceneValidationError
 
@@ -87,6 +89,16 @@ class TestStops:
         stops = camera_stops(path, frame_rate=60.0)
         xs = [s.position[0] for s in stops]
         assert xs == pytest.approx([0.0, 3.0, 6.0, 9.0, 10.0], abs=1e-9)
+
+    def test_stop_count_bounded(self):
+        # a route holds at most MAX_STOPS spacings; the count is checked
+        # before any mark is made
+        assert len(_stop_marks(float(MAX_STOPS - 1), 1.0)) == MAX_STOPS
+        with pytest.raises(SceneValidationError, match=f"more than {MAX_STOPS} stops"):
+            _stop_marks(float(MAX_STOPS), 1.0)
+        # speed * stop_interval / frame_rate can underflow to zero
+        with pytest.raises(SceneValidationError, match="stop spacing 0 m"):
+            _stop_marks(10.0, 0.0)
 
     def test_heading_follows_tangent(self):
         # +x heading is yaw 90; +z is yaw 0

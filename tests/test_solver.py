@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relabel.costs import CostMatrix, CostWeights, build_cost_matrix
 from relabel.partition import VoronoiSite
@@ -13,9 +17,11 @@ from relabel.scene import (
     SceneBounds,
     SceneLayout,
     SceneValidationError,
+    synthesize_observation,
 )
 from relabel.solver import (
     AssignmentProblem,
+    AssignmentResult,
     BruteForceBoundError,
     InfeasibleAssignmentError,
     brute_force_solve,
@@ -88,6 +94,27 @@ class TestSolveBasics:
         assert a.pairs == b.pairs == ((0, "c-00"), (1, "c-01"))
 
 
+def assert_matches_oracle(problem: AssignmentProblem) -> AssignmentResult:
+    fast, slow = solve(problem), brute_force_solve(problem)
+    assert fast.pairs == slow.pairs
+    assert fast.total_cost == slow.total_cost  # bitwise, not approx
+    return fast
+
+
+# shapes within the oracle's bound (N <= 8, M <= 10) whose enumeration
+# stays small enough to repeat hundreds of times
+ORACLE_SHAPES = tuple(
+    (n, m) for n in range(1, 9) for m in range(n, 11) if math.perm(m, n) <= 200_000
+)
+
+
+def cost_tables(values):
+    return st.sampled_from(ORACLE_SHAPES).flatmap(
+        lambda shape: st.lists(values, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+        .map(lambda cells: np.array(cells, dtype=float).reshape(shape))
+    )
+
+
 class TestBruteForce:
     def test_bound_enforced(self):
         with pytest.raises(BruteForceBoundError):
@@ -108,6 +135,23 @@ class TestBruteForce:
             fast, slow = solve(problem), brute_force_solve(problem)
             assert fast.pairs == slow.pairs
             assert fast.total_cost == slow.total_cost  # bitwise, not approx
+
+
+class TestTieHeavy:
+    """solve against the exhaustive oracle where exact ties abound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_tables(st.integers(0, 3)))
+    def test_integer_costs(self, totals):
+        assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cost_tables(st.floats(0.0, 10.0)), st.data())
+    def test_duplicated_columns(self, totals, data):
+        # identical objects give identical columns
+        m = totals.shape[1]
+        sources = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+        assert_matches_oracle(AssignmentProblem(matrix_from(totals[:, sources])))
 
 
 class TestCategorySeparation:
@@ -368,3 +412,56 @@ class TestPreparePipeline:
             CostWeights(w_t=0.36 * np.sqrt(144.0), w_r=1.0),
         )
         assert np.array_equal(prepared.problem.matrix.total, built.total)
+
+
+TWIN_DIMS = {"chair": (0.5, 0.9, 0.5), "table": (1.4, 0.8, 0.9)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spots=st.lists(
+        st.tuples(
+            st.integers(1, 9),
+            st.integers(1, 9),
+            st.sampled_from((0.0, 90.0, 200.0)),
+            st.sampled_from(sorted(TWIN_DIMS)),
+            st.integers(1, 2),
+        ),
+        min_size=1,
+        max_size=4,  # at most 8 objects, within the oracle's bound
+        unique_by=lambda spot: spot[:2],
+    ),
+    threshold=st.sampled_from((0.0, 0.5, 1.0)),
+    category_separated=st.booleans(),
+)
+def test_zero_noise_twin_layouts(spots, threshold, category_separated):
+    # same-type objects paired on one pose, observed without noise: every
+    # twin pair is an exact tie that the cost build must keep exact
+    objects = []
+    for x, z, yaw, object_type, copies in spots:
+        for _ in range(copies):
+            label = f"{object_type}-{len(objects):02d}"
+            dims = TWIN_DIMS[object_type]
+            objects.append(make_object(label, float(x), float(z), yaw, object_type, dims))
+    layout = SceneLayout(
+        name="twins",
+        bounds=SceneBounds(width=10.0, depth=10.0),
+        sites=(
+            VoronoiSite(id="S01", center=(2.5, 5.0)),
+            VoronoiSite(id="S02", center=(7.5, 5.0)),
+            VoronoiSite(id="S03", center=(5.0, 8.5)),
+        ),
+        objects=tuple(objects),
+    )
+    camera = CameraState(position=(5.0, 0.0), yaw=0.0, fov=170.0, range=30.0)
+    observation = synthesize_observation(layout, camera)
+    assert len(observation.detections) == len(objects)
+    prepared = prepare_problem(
+        layout, observation, threshold=threshold, category_separated=category_separated
+    )
+    result = assert_matches_oracle(prepared.problem)
+    if threshold == 1.0:
+        # every object is a candidate: each detection takes its own label,
+        # the smaller of two twins' columns, at a total of exactly zero
+        assert result.total_cost == 0.0
+        assert result.pairs == tuple(enumerate(sorted(o.label for o in objects)))
