@@ -28,6 +28,9 @@ from .scene import BoxDims, Detection, ObjectInstance, PlanarPose, SceneBounds, 
 
 _DIM_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 _PERM_INDEX = np.array(_DIM_PERMUTATIONS, dtype=np.intp)
+# (detection box, candidate box) pairs scored per broadcast: bounds the
+# ratio table, 144 bytes a pair, when measured boxes are all distinct
+_FIT_CHUNK_PAIRS = 2**16
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,6 +180,20 @@ def _distinct_boxes(
     return boxes, np.array(index, dtype=np.intp)
 
 
+def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
+    """c_d for every (detection box, candidate box) pair, scored in chunks of
+    detection boxes of at most _FIT_CHUNK_PAIRS pairs (one detection box at
+    least).  Every chunk is the same broadcast, so a cell's bytes do not
+    depend on the chunking: ratio is (detection box, candidate box, axis
+    permutation, axis)."""
+    fit = np.empty((len(det_boxes), len(cand_boxes)))
+    step = max(1, _FIT_CHUNK_PAIRS // max(1, len(cand_boxes)))
+    for start in range(0, len(det_boxes), step):
+        ratio = det_boxes[start : start + step, None, _PERM_INDEX] / cand_boxes[None, :, None, :]
+        fit[start : start + step] = np.prod(np.maximum(ratio, 1.0 / ratio), axis=3).min(axis=2)
+    return fit
+
+
 def build_cost_matrix(
     detections: tuple[Detection, ...],
     candidates: tuple[ObjectInstance, ...],
@@ -196,13 +213,10 @@ def build_cost_matrix(
     c_t = np.hypot(det_x[:, None] - cand_x, det_z[:, None] - cand_z) / bounds.diagonal()
     c_r = np.sin(np.abs(det_yaw[:, None] - cand_yaw) * (np.pi / 360.0))
 
-    # identical objects share one box, so c_d is scored per distinct pair:
-    # ratio is (detection box, candidate box, axis permutation, axis)
+    # identical objects share one box, so c_d is scored per distinct pair
     det_boxes, det_row = _distinct_boxes(detections)
     cand_boxes, cand_col = _distinct_boxes(candidates)
-    ratio = det_boxes[:, None, _PERM_INDEX] / cand_boxes[None, :, None, :]
-    fit = np.prod(np.maximum(ratio, 1.0 / ratio), axis=3).min(axis=2)
-    c_d = fit[det_row[:, None], cand_col]
+    c_d = _box_fit(det_boxes, cand_boxes)[det_row[:, None], cand_col]
 
     total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
     return CostMatrix(

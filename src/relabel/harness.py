@@ -129,8 +129,6 @@ class SweepConfig:
     threshold: float = 1.0
     weights: CostWeights | None = None
     category_separated: bool = False
-    t_mean: float = 0.0
-    r_mean: float = 0.0
     frame_rate: float = 60.0
     fov: float = 60.0
     camera_range: float = 10.0
@@ -213,7 +211,7 @@ def _sweep(
     for rep in range(config.seeds):
         for a_idx, a in enumerate(t_list):
             for b_idx, b in enumerate(config.r_list):
-                noise = NoiseModel(t_mean=config.t_mean, t_sd=a, r_mean=config.r_mean, r_sd=b)
+                noise = NoiseModel(t_sd=a, r_sd=b)
                 perturbed = perturb_layout(
                     layout, noise, derive_seed(config.master_seed, rep, a_idx, b_idx)
                 )
@@ -372,48 +370,31 @@ def aggregate(result: SweepResult, grouping: str):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6f}" if math.isnan(value) else repr(value)
-    return str(value)
+def _cell(name: str, value) -> str:
+    """One CSV cell: '' for None, six decimals in a timing column, repr for
+    any other float ('nan' for NaN), str for the rest."""
+    if value is None:
+        return ""
+    if name in TIMING_COLUMNS or (isinstance(value, float) and math.isnan(value)):
+        return f"{value:.6f}"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _write_csv(path: str | Path, names: tuple[str, ...] | list[str], rows: tuple) -> None:
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([_cell(n, getattr(row, n)) for n in names])
 
 
 def write_rows_csv(result: SweepResult, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in result.rows:
-            writer.writerow(
-                [
-                    r.scene,
-                    _fmt(r.a),
-                    _fmt(r.b),
-                    r.stop,
-                    r.n,
-                    r.m,
-                    "" if r.correct is None else r.correct,
-                    "" if r.accuracy is None else _fmt(r.accuracy),
-                    "" if r.solve_ms is None else f"{r.solve_ms:.6f}",
-                    _fmt(r.threshold),
-                    "" if r.effective_threshold is None else _fmt(r.effective_threshold),
-                ]
-            )
+    _write_csv(path, CSV_COLUMNS, result.rows)
 
 
 def write_summary_csv(rows: tuple, path: str | Path) -> None:
     """Write aggregate rows (any of the summary dataclasses) as CSV."""
-    with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        if not rows:
-            return
-        names = [f.name for f in dataclasses.fields(rows[0])]
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow(
-                [
-                    f"{getattr(row, n):.6f}"
-                    if n in TIMING_COLUMNS
-                    else _fmt(getattr(row, n))
-                    for n in names
-                ]
-            )
+    if not rows:
+        Path(path).write_text("", encoding="utf-8")
+        return
+    _write_csv(path, [f.name for f in dataclasses.fields(rows[0])], rows)

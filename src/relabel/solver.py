@@ -190,10 +190,10 @@ def _canonical_cols(costs: np.ndarray) -> np.ndarray:
 def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
     """Lexicographically smallest in-window column tuple, row by row.
 
-    The smallest available column whose best-case completion still reaches
-    the window is fixed for each row in turn.  Candidates are screened
-    with reroute lower bounds so most rows cost one subproblem solve; only
-    contested columns pay for an exact confirming solve.
+    The smallest available column whose best completion still reaches the
+    window is fixed for each row in turn.  One solve of the remaining rows
+    over every available column screens all columns at once; only a
+    screened column that solve uses pays for an exact confirming solve.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
@@ -202,36 +202,20 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
     for r in range(n):
         avail_idx = np.flatnonzero(available)
         row = costs[r, avail_idx]
-        user = None
         if r + 1 < n:
             sub_all = costs[r + 1 :, avail_idx]
             ri, ci = linear_sum_assignment(sub_all)
             rest_value = float(sub_all[ri, ci].sum())
+            user = np.full(avail_idx.size, -1, dtype=np.intp)
+            user[ci] = ri
         else:
-            sub_all = None
+            sub_all = user = None
             rest_value = 0.0
         # exact for columns the rest solution leaves unused (dropping an
         # unused column cannot change the sub-problem optimum), a lower
         # bound for the rest
         bound = prefix + row + rest_value
         cand = np.flatnonzero(bound <= window)
-        if sub_all is not None:
-            user = np.full(avail_idx.size, -1, dtype=np.intp)
-            user[ci] = ri
-            if cand.size > 1:
-                # tighten: freeing a used column forces its row onto its
-                # next-best available column at least, and at an optimum
-                # any longer alternating detour only adds cost
-                owner = user[cand]
-                used = np.flatnonzero(owner >= 0)
-                if used.size:
-                    rows = owner[used]
-                    low2 = np.partition(sub_all[rows], 1, axis=1)
-                    cells = sub_all[rows, cand[used]]
-                    excl = np.where(cells > low2[:, 0], low2[:, 0], low2[:, 1])
-                    keep = np.ones(cand.size, dtype=bool)
-                    keep[used] = bound[cand[used]] + np.maximum(excl - cells, 0.0) <= window
-                    cand = cand[keep]
 
         def exact_completion(pos: int) -> float:
             if user is None or user[pos] < 0:
@@ -244,10 +228,6 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
         fallback_pos = -1
         fallback_value = math.inf
         for pos in cand:
-            if user is None or user[pos] < 0:
-                # nothing downstream wanted this column: bound is exact
-                pick_pos = pos
-                break
             completion = exact_completion(pos)
             if completion <= window:
                 pick_pos = pos

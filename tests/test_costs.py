@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relabel import costs
 from relabel.costs import (
     CostWeights,
     build_cost_matrix,
@@ -253,6 +255,40 @@ class TestCostMatrixCells:
             matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
             for name in ("c_t", "c_r", "c_d", "total"):
                 assert getattr(matrix, name).shape == (len(detections), len(candidates))
+
+    def test_distinct_boxes_bounded_memory(self, monkeypatch):
+        # measured boxes are all distinct, so the box-fit table has a pair
+        # per cell; unchunked, its ratio table alone is 144 bytes a pair
+        rng = np.random.default_rng(5)
+        n, m = 300, 1500
+        detections = tuple(
+            Detection(
+                pose=PlanarPose(*rng.uniform(0.0, 5.0, 2), rng.uniform(0.0, 360.0)),
+                dims=BoxDims(*rng.uniform(0.2, 2.0, 3)),
+            )
+            for _ in range(n)
+        )
+        candidates = tuple(
+            ObjectInstance(
+                f"obj-{j:04d}",
+                "chair",
+                PlanarPose(*rng.uniform(0.0, 5.0, 2), rng.uniform(0.0, 360.0)),
+                BoxDims(*rng.uniform(0.2, 2.0, 3)),
+            )
+            for j in range(m)
+        )
+        tracemalloc.start()
+        try:
+            matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * n * m * 8
+        # the chunked table is the one-broadcast table, byte for byte
+        monkeypatch.setattr(costs, "_FIT_CHUNK_PAIRS", n * m)
+        whole = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
+        assert matrix.c_d.tobytes() == whole.c_d.tobytes()
+        assert matrix.total.tobytes() == whole.total.tobytes()
 
     def test_same_type_different_boxes(self):
         # two chairs with different boxes: scoring c_d per type would give
