@@ -13,7 +13,9 @@ so a box mismatch scales up whatever motion cost the pair already carries.
 per cell: identical objects share one box, so a stop full of them has few
 distinct boxes on either side.  Boxes are told apart by value, never by
 object type, and every cell gets the same float operations as a 1 x 1
-build of its own pair.
+build of its own pair.  The build is a candidate half (`candidate_side`),
+which a fixed candidate pool needs only once, and a detection half
+(`score_detections`).
 """
 
 from __future__ import annotations
@@ -194,6 +196,63 @@ def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
     return fit
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class CandidateSide:
+    """The candidate half of a cost build, which depends on the candidates
+    alone: their labels and types, the x, z and yaw planes of their poses,
+    and their distinct boxes with the row of each candidate's box."""
+
+    labels: tuple[str, ...]
+    types: tuple[str, ...]
+    x: np.ndarray
+    z: np.ndarray
+    yaw: np.ndarray
+    boxes: np.ndarray
+    box_col: np.ndarray
+
+
+def candidate_side(candidates: tuple[ObjectInstance, ...]) -> CandidateSide:
+    """The candidate half of `build_cost_matrix`; duplicate labels are rejected."""
+    labels = tuple(c.label for c in candidates)
+    if len(set(labels)) != len(labels):
+        raise SceneValidationError("candidate labels must be unique")
+    planes = _pose_planes(candidates)
+    boxes, box_col = _distinct_boxes(candidates)
+    for array in (planes, boxes, box_col):
+        array.flags.writeable = False
+    x, z, yaw = planes
+    types = tuple(c.object_type for c in candidates)
+    return CandidateSide(labels, types, x, z, yaw, boxes, box_col)
+
+
+def score_detections(
+    detections: tuple[Detection, ...],
+    side: CandidateSide,
+    bounds: SceneBounds,
+    weights: CostWeights,
+) -> CostMatrix:
+    """The detection half of `build_cost_matrix`: score every detection
+    against a candidate half built once."""
+    det_x, det_z, det_yaw = _pose_planes(detections)
+    c_t = np.hypot(det_x[:, None] - side.x, det_z[:, None] - side.z) / bounds.diagonal()
+    c_r = np.sin(np.abs(det_yaw[:, None] - side.yaw) * (np.pi / 360.0))
+
+    # identical objects share one box, so c_d is scored per distinct pair
+    det_boxes, det_row = _distinct_boxes(detections)
+    c_d = _box_fit(det_boxes, side.boxes)[det_row[:, None], side.box_col]
+
+    total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
+    return CostMatrix(
+        candidates=side.labels,
+        candidate_types=side.types,
+        detection_types=tuple(d.object_type for d in detections),
+        c_t=c_t,
+        c_r=c_r,
+        c_d=c_d,
+        total=total,
+    )
+
+
 def build_cost_matrix(
     detections: tuple[Detection, ...],
     candidates: tuple[ObjectInstance, ...],
@@ -205,26 +264,4 @@ def build_cost_matrix(
     Candidate label order is preserved as given; duplicate labels are
     rejected.  Works for empty detection or candidate sets (0-sized axes).
     """
-    labels = tuple(c.label for c in candidates)
-    if len(set(labels)) != len(labels):
-        raise SceneValidationError("candidate labels must be unique")
-    det_x, det_z, det_yaw = _pose_planes(detections)
-    cand_x, cand_z, cand_yaw = _pose_planes(candidates)
-    c_t = np.hypot(det_x[:, None] - cand_x, det_z[:, None] - cand_z) / bounds.diagonal()
-    c_r = np.sin(np.abs(det_yaw[:, None] - cand_yaw) * (np.pi / 360.0))
-
-    # identical objects share one box, so c_d is scored per distinct pair
-    det_boxes, det_row = _distinct_boxes(detections)
-    cand_boxes, cand_col = _distinct_boxes(candidates)
-    c_d = _box_fit(det_boxes, cand_boxes)[det_row[:, None], cand_col]
-
-    total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
-    return CostMatrix(
-        candidates=labels,
-        candidate_types=tuple(c.object_type for c in candidates),
-        detection_types=tuple(d.object_type for d in detections),
-        c_t=c_t,
-        c_r=c_r,
-        c_d=c_d,
-        total=total,
-    )
+    return score_detections(detections, candidate_side(candidates), bounds, weights)

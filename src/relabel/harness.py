@@ -29,13 +29,12 @@ from .noise import NoiseModel, derive_seed, perturb_layout
 from .partition import validate_threshold
 from .path import CameraPath, camera_stops
 from .scene import (
-    CameraState,
     SceneLayout,
     SceneValidationError,
     synthesize_observation,
     visible_objects,
 )
-from .solver import InfeasibleAssignmentError, prepare_problem, solve
+from .solver import InfeasibleAssignmentError, StopPlan, plan_stop, solve
 
 CSV_COLUMNS = (
     "scene",
@@ -147,34 +146,27 @@ class SweepConfig:
 
 
 def score_stop(
-    initial: SceneLayout,
+    plan: StopPlan,
     perturbed: SceneLayout,
-    camera: CameraState,
     stop: int,
     a: float,
     b: float,
     rep: int,
-    threshold: float,
     weights: CostWeights | None,
     category_separated: bool,
 ) -> StopRecord:
-    """Observe the perturbed layout from one stop, resolve against the
-    initial layout, and score against the known identities.
+    """Observe the perturbed layout from the plan's stop, resolve against
+    the plan's initial layout, and score against the known identities.
 
     Ground truth is carried through the simulation: detections are emitted
     in label-sorted order of the perturbed objects, so detection i is
     correct iff it receives the label at position i of that order.
     """
+    camera, name, threshold = plan.camera, plan.layout.name, plan.threshold
     observation = synthesize_observation(perturbed, camera)
     truth = tuple(o.label for o in visible_objects(perturbed, camera))
     n = len(observation.detections)
-    prepared = prepare_problem(
-        initial,
-        observation,
-        threshold=threshold,
-        weights=weights,
-        category_separated=category_separated,
-    )
+    prepared = plan.prepare(observation, weights, category_separated)
     m = len(prepared.candidates)
     try:
         start = time.perf_counter()
@@ -182,14 +174,14 @@ def score_stop(
         solve_ms = (time.perf_counter() - start) * 1000.0
     except InfeasibleAssignmentError:
         return StopRecord(
-            initial.name, a, b, stop, n, m, None, None, None, threshold,
+            name, a, b, stop, n, m, None, None, None, threshold,
             prepared.effective_threshold, rep,
         )
     mapping = result.mapping
     correct = sum(1 for i, label in enumerate(truth) if mapping.get(i) == label)
     accuracy = correct / n if n else None
     return StopRecord(
-        initial.name, a, b, stop, n, m, correct, accuracy, solve_ms, threshold,
+        name, a, b, stop, n, m, correct, accuracy, solve_ms, threshold,
         prepared.effective_threshold, rep,
     )
 
@@ -201,11 +193,13 @@ def _sweep(
 
     Each cell perturbs the initial layout once, with its own derived seed,
     and every threshold reuses that perturbation, so rows of one cell differ
-    across thresholds only through pruning.
+    across thresholds only through pruning.  What a stop needs of the
+    initial layout is planned once per (threshold, stop), before any cell.
     """
     stops = camera_stops(
         path, fov=config.fov, range=config.camera_range, frame_rate=config.frame_rate
     )
+    plans = [[plan_stop(layout, camera, threshold) for camera in stops] for threshold in thresholds]
     t_list = config.t_list if config.t_list is not None else default_t_list(layout.bounds.area())
     rows: list[StopRecord] = []
     for rep in range(config.seeds):
@@ -215,12 +209,12 @@ def _sweep(
                 perturbed = perturb_layout(
                     layout, noise, derive_seed(config.master_seed, rep, a_idx, b_idx)
                 )
-                for threshold in thresholds:
-                    for stop_idx, camera in enumerate(stops):
+                for threshold_plans in plans:
+                    for stop_idx, plan in enumerate(threshold_plans):
                         rows.append(
                             score_stop(
-                                layout, perturbed, camera, stop_idx, a, b, rep, threshold,
-                                config.weights, config.category_separated,
+                                plan, perturbed, stop_idx, a, b, rep, config.weights,
+                                config.category_separated,
                             )
                         )
     return SweepResult(rows=tuple(rows))

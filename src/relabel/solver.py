@@ -25,13 +25,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .costs import CostMatrix, CostWeights, build_cost_matrix, default_weights
-from .partition import candidate_labels, prune_sites, site_probabilities
-from .scene import Detection, ObjectInstance, Observation, SceneLayout, SceneValidationError
+from .costs import (
+    CandidateSide,
+    CostMatrix,
+    CostWeights,
+    candidate_side,
+    default_weights,
+    score_detections,
+)
+from .partition import SiteProbabilities, candidate_labels, prune_sites, site_probabilities
+from .scene import (
+    CameraState,
+    Detection,
+    ObjectInstance,
+    Observation,
+    SceneLayout,
+    SceneValidationError,
+)
 
 _REL_TOL = 1e-9
 _BRUTE_FORCE_MAX_N = 8
 _BRUTE_FORCE_MAX_M = 10
+# the closure certificate is O(n^3); above this many rows the potentials
+# certificate is faster
+_CLOSURE_MAX_N = 24
 
 
 class AssignmentError(RuntimeError):
@@ -116,8 +133,8 @@ def _dual_potentials(costs: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _unique_within_window(costs: np.ndarray, sigma: np.ndarray, budget: float) -> bool:
-    """True when sigma is provably the only assignment within the window.
+def _potentials_certify(costs: np.ndarray, sigma: np.ndarray, budget: float) -> bool:
+    """The certificate for many rows, through potentials.
 
     With potentials v and reduced costs rc, any other assignment T obeys
     val(T) - val(sigma) = sum rc(new edges) + sum over abandoned columns
@@ -166,25 +183,73 @@ def _unique_within_window(costs: np.ndarray, sigma: np.ndarray, budget: float) -
     return True
 
 
-def _canonical_cols(costs: np.ndarray) -> np.ndarray:
-    """Columns of the canonical optimal assignment for a dense cost block.
+def _closure_certifies(rest: np.ndarray, sigma: np.ndarray, budget: float) -> bool:
+    """The certificate for few rows, through a min-plus closure.
 
-    One solve gives an optimum; dual potentials then either certify that
-    no other assignment lies within the tie window (the common case, in
+    Row i moving to row k's column costs rest[i, sigma_k]; moving to an
+    unused column costs at least the row's least rest over those columns.
+    Every other assignment is a set of disjoint cycles and paths to the
+    sink in that (n + 1)-node row graph, each costing >= 0 since sigma is
+    optimal, so sigma is alone in the window iff the cheapest cycle and
+    the cheapest path to the sink both cost more than the budget.
+    """
+    n, m = rest.shape
+    graph = np.full((n + 1, n + 1), np.inf)
+    graph[:n, :n] = rest[:, sigma]  # diagonal: rest's sigma cells, inf
+    unused = np.ones(m, dtype=bool)
+    unused[sigma] = False
+    if unused.any():
+        graph[:n, n] = rest[:, unused].min(axis=1)
+    via = np.empty_like(graph)
+    for k in range(n):
+        np.add(graph[:, k, None], graph[k], out=via)
+        np.minimum(graph, via, out=graph)
+    return bool(graph.diagonal()[:n].min() > budget and graph[:n, n].min() > budget)
+
+
+def _unique_within_window(
+    costs: np.ndarray, rows: np.ndarray, sigma: np.ndarray, base: np.ndarray, budget: float
+) -> bool:
+    """True when sigma (row i takes column sigma_i, at cost base_i) is
+    provably the only assignment within `budget` of its total.
+
+    A row screen settles most stops: when every row's sigma cell beats
+    each of its other cells by more than the budget, any other assignment
+    raises some row by more than that and lowers none.  Otherwise the
+    closure decides up to _CLOSURE_MAX_N rows and potentials decide above.
+    """
+    rest = costs - base[:, None]
+    rest[rows, sigma] = np.inf
+    if rest.min() > budget:
+        return True
+    if len(rows) <= _CLOSURE_MAX_N:
+        return _closure_certifies(rest, sigma, budget)
+    return _potentials_certify(costs, sigma, budget)
+
+
+def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Columns of the canonical optimal assignment for a dense cost block,
+    and their canonical total.
+
+    One solve gives an optimum; the certificate either shows that no
+    other assignment lies within the tie window (the common case, in
     which that optimum is trivially canonical) or the lexicographically
     smallest in-window column tuple is rebuilt row by row.
     """
     n, m = costs.shape
-    if n == 0:
-        return np.empty(0, dtype=np.intp)
     if n > m:
         raise InfeasibleAssignmentError(n, m)
-    _, col_ind = linear_sum_assignment(costs)
-    best_value = _gather_total(costs, col_ind)
+    rows, sigma = linear_sum_assignment(costs)
+    base = costs[rows, sigma]
+    best_value = float(base.sum())
     window = best_value + _tol(best_value)
-    if _unique_within_window(costs, col_ind, window - best_value):
-        return col_ind
-    return _scan_cols(costs, window)
+    # the certificate is asked about twice the window: an assignment on the
+    # window's edge may be in it by one summation order and out of it by
+    # another, so it goes to the scan, which judges the canonical sum
+    if _unique_within_window(costs, rows, sigma, base, 2 * (window - best_value)):
+        return sigma, best_value
+    cols = _scan_cols(costs, window)
+    return cols, _gather_total(costs, cols)
 
 
 def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
@@ -194,10 +259,14 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
     window is fixed for each row in turn.  One solve of the remaining rows
     over every available column screens all columns at once; only a
     screened column that solve uses pays for an exact confirming solve.
+    A completion is judged by the canonical total of its whole column
+    tuple, the same sum the window was taken from: `cells` holds the
+    fixed rows' cells, then the candidate's, then the rest's, in row order.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
     chosen = np.empty(n, dtype=np.intp)
+    cells = np.empty(n)
     prefix = 0.0
     for r in range(n):
         avail_idx = np.flatnonzero(available)
@@ -205,11 +274,13 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
         if r + 1 < n:
             sub_all = costs[r + 1 :, avail_idx]
             ri, ci = linear_sum_assignment(sub_all)
-            rest_value = float(sub_all[ri, ci].sum())
+            rest_cells = sub_all[ri, ci]
+            rest_value = float(rest_cells.sum())
             user = np.full(avail_idx.size, -1, dtype=np.intp)
             user[ci] = ri
         else:
-            sub_all = user = None
+            user = None
+            rest_cells = cells[n:]
             rest_value = 0.0
         # exact for columns the rest solution leaves unused (dropping an
         # unused column cannot change the sub-problem optimum), a lower
@@ -219,10 +290,13 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
 
         def exact_completion(pos: int) -> float:
             if user is None or user[pos] < 0:
-                return prefix + row[pos] + rest_value
-            sub = np.delete(sub_all, pos, axis=1)
-            si, sj = linear_sum_assignment(sub)
-            return prefix + row[pos] + float(sub[si, sj].sum())
+                cells[r + 1 :] = rest_cells
+            else:
+                sub = np.delete(sub_all, pos, axis=1)
+                si, sj = linear_sum_assignment(sub)
+                cells[r + 1 :] = sub[si, sj]
+            cells[r] = row[pos]
+            return float(cells.sum())
 
         pick_pos = -1
         fallback_pos = -1
@@ -248,7 +322,8 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
         pick = int(avail_idx[pick_pos])
         chosen[r] = pick
         available[pick] = False
-        prefix += costs[r, pick]
+        cells[r] = costs[r, pick]
+        prefix += cells[r]
     return chosen
 
 
@@ -268,15 +343,19 @@ def _typed_cols(matrix: CostMatrix) -> np.ndarray:
         cols = [j for j, t in enumerate(matrix.candidate_types) if t == object_type]
         if len(rows) > len(cols):
             raise InfeasibleAssignmentError(len(rows), len(cols), category=object_type)
-        sub_cols = _canonical_cols(matrix.total[np.ix_(rows, cols)])
+        sub_cols, _ = _canonical_cols(matrix.total[np.ix_(rows, cols)])
         for row, sub_col in zip(rows, sub_cols):
             chosen[row] = cols[sub_col]
     return chosen
 
 
-def _as_result(matrix: CostMatrix, cols: np.ndarray) -> AssignmentResult:
-    total = _gather_total(matrix.total, cols)
-    pairs = tuple((i, matrix.candidates[int(c)]) for i, c in enumerate(cols))
+def _as_result(
+    matrix: CostMatrix, cols: np.ndarray, total: float | None = None
+) -> AssignmentResult:
+    if total is None:
+        total = _gather_total(matrix.total, cols)
+    labels = matrix.candidates
+    pairs = tuple(zip(range(len(cols)), [labels[c] for c in cols.tolist()]))
     return AssignmentResult(pairs=pairs, total_cost=total, candidate_count=matrix.shape[1])
 
 
@@ -291,10 +370,8 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
     if n == 0:
         return AssignmentResult(pairs=(), total_cost=0.0, candidate_count=m)
     if problem.category_separated:
-        cols = _typed_cols(matrix)
-    else:
-        cols = _canonical_cols(matrix.total)
-    return _as_result(matrix, cols)
+        return _as_result(matrix, _typed_cols(matrix))
+    return _as_result(matrix, *_canonical_cols(matrix.total))
 
 
 def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
@@ -362,6 +439,90 @@ class PreparedProblem:
     effective_threshold: float
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class StopPlan:
+    """The part of a stop's preparation that depends only on the remembered
+    layout, the camera and the threshold: the site ranking, the sites the
+    threshold keeps, and the candidate half of the cost build.  Build it
+    once with `plan_stop` and `prepare` each observation from that stop."""
+
+    layout: SceneLayout
+    camera: CameraState
+    threshold: float
+    probabilities: SiteProbabilities
+    kept_site_ids: frozenset[str]
+    effective_threshold: float
+    candidates: tuple[ObjectInstance, ...]
+    side: CandidateSide
+
+    def prepare(
+        self,
+        observation: Observation,
+        weights: CostWeights | None = None,
+        category_separated: bool = False,
+    ) -> PreparedProblem:
+        """Cost the observation against the plan's candidates.
+
+        If the pool is too small for the detections, sites are re-admitted
+        one at a time in probability order until the instance becomes
+        feasible; the effective threshold reported is the cumulative
+        probability actually covered.  The plan itself never changes.
+        The observation must come from the plan's camera.
+        """
+        if observation.camera != self.camera:
+            raise SceneValidationError("the observation is from another camera than the plan's")
+        layout = self.layout
+        if weights is None:
+            weights = default_weights(layout.bounds)
+        detections = observation.detections
+        if category_separated:
+            _require_typed(tuple(d.object_type for d in detections))
+        kept, effective = self.kept_site_ids, self.effective_threshold
+        candidates, side = self.candidates, self.side
+        entries = self.probabilities.entries
+        start = depth = len(kept) - 1  # how many ranked entries are included
+        readmitted = set(kept)
+        while (
+            not _is_feasible(detections, candidates, category_separated)
+            and depth < len(entries)
+        ):
+            entry = entries[depth]
+            depth += 1
+            readmitted.add(entry.site_id)
+            effective = entry.cumulative
+            candidates = candidate_labels(layout, readmitted)
+        if depth > start:
+            kept = frozenset(readmitted)
+            side = candidate_side(candidates)
+        matrix = score_detections(detections, side, layout.bounds, weights)
+        return PreparedProblem(
+            problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
+            candidates=candidates,
+            kept_site_ids=kept,
+            requested_threshold=self.threshold,
+            effective_threshold=effective,
+        )
+
+
+def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) -> StopPlan:
+    """Rank the layout's sites around the camera, prune them at the
+    threshold, and build the candidate half of the cost build."""
+    probabilities = site_probabilities(camera, layout.sites)
+    kept = prune_sites(probabilities, threshold)
+    depth = len(kept) - 1  # how many ranked entries are included
+    candidates = candidate_labels(layout, kept)
+    return StopPlan(
+        layout=layout,
+        camera=camera,
+        threshold=float(threshold),
+        probabilities=probabilities,
+        kept_site_ids=frozenset(kept),
+        effective_threshold=probabilities.entries[depth - 1].cumulative if depth else 0.0,
+        candidates=candidates,
+        side=candidate_side(candidates),
+    )
+
+
 def prepare_problem(
     layout: SceneLayout,
     observation: Observation,
@@ -369,40 +530,13 @@ def prepare_problem(
     weights: CostWeights | None = None,
     category_separated: bool = False,
 ) -> PreparedProblem:
-    """Prune sites around the camera and build the cost matrix.
-
-    If the pruned candidate pool is too small for the detections, sites are
-    re-admitted one at a time in probability order until the instance
-    becomes feasible; the effective threshold reported is the cumulative
-    probability actually covered.  A pool that stays too small even with
-    every site kept is returned as-is and `solve` raises.
+    """Prune sites around the camera and build the cost matrix: a stop plan
+    for the observation's camera, prepared once (see `StopPlan.prepare`).
+    A pool that stays too small even with every site kept is returned
+    as-is and `solve` raises.
     """
-    if weights is None:
-        weights = default_weights(layout.bounds)
-    if category_separated:
-        _require_typed(tuple(d.object_type for d in observation.detections))
-    probabilities = site_probabilities(observation.camera, layout.sites)
-    kept = prune_sites(probabilities, threshold)
-    depth = len(kept) - 1  # how many ranked entries are included
-    effective = probabilities.entries[depth - 1].cumulative if depth else 0.0
-    candidates = candidate_labels(layout, kept)
-    while (
-        not _is_feasible(observation.detections, candidates, category_separated)
-        and depth < len(probabilities.entries)
-    ):
-        entry = probabilities.entries[depth]
-        depth += 1
-        kept.add(entry.site_id)
-        effective = entry.cumulative
-        candidates = candidate_labels(layout, kept)
-    matrix = build_cost_matrix(observation.detections, candidates, layout.bounds, weights)
-    return PreparedProblem(
-        problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
-        candidates=candidates,
-        kept_site_ids=frozenset(kept),
-        requested_threshold=float(threshold),
-        effective_threshold=effective,
-    )
+    plan = plan_stop(layout, observation.camera, threshold)
+    return plan.prepare(observation, weights, category_separated)
 
 
 def resolve_identities(

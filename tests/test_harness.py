@@ -25,6 +25,7 @@ from relabel.harness import (
 from relabel.noise import NoiseModel, ZERO_NOISE, perturb_layout
 from relabel.scene import CameraState, SceneValidationError
 from relabel.scenegen import generate_scene, patrol_route
+from relabel.solver import plan_stop
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +87,14 @@ class TestScoreStop:
         layout, route = l1_setup
         # a step south of the room, so every object sits inside the cone
         camera = CameraState(position=(layout.bounds.width / 2, -5.0), yaw=0.0, fov=179.0, range=50.0)
-        rec = score_stop(layout, layout, camera, 0, 0.0, 0.0, 0, 1.0, None, False)
+        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 0, 0.0, 0.0, 0, None, False)
         assert rec.n == len(layout.objects)
         assert rec.accuracy == 1.0 and rec.correct == rec.n
 
     def test_empty_stop_has_no_accuracy(self, l1_setup):
         layout, _ = l1_setup
         camera = CameraState(position=(0.0, 0.0), yaw=180.0, fov=10.0, range=0.5)
-        rec = score_stop(layout, layout, camera, 3, 0.2, 5.0, 1, 1.0, None, False)
+        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 3, 0.2, 5.0, 1, None, False)
         assert rec.n == 0 and rec.accuracy is None
         assert rec.stop == 3 and rec.rep == 1
 

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relabel.costs import CostMatrix, CostWeights, build_cost_matrix
+from relabel import solver
+from relabel.costs import CostMatrix, CostWeights, build_cost_matrix, default_weights
+from relabel.noise import NoiseModel, derive_seed, perturb_layout
 from relabel.partition import VoronoiSite
+from relabel.path import camera_stops
 from relabel.scene import (
     CameraState,
     Observation,
@@ -19,6 +22,7 @@ from relabel.scene import (
     SceneValidationError,
     synthesize_observation,
 )
+from relabel.scenegen import ARCHETYPES, generate_scene, patrol_route
 from relabel.solver import (
     AssignmentProblem,
     AssignmentResult,
@@ -26,6 +30,7 @@ from relabel.solver import (
     InfeasibleAssignmentError,
     _tol,
     brute_force_solve,
+    plan_stop,
     prepare_problem,
     resolve_identities,
     solve,
@@ -175,21 +180,16 @@ class TestNearWindow:
         totals[k, sigma[i]] = totals[k, sigma[k]] + half
         return totals
 
-    @pytest.mark.parametrize("g", (0.0, 0.5, 0.9, 1.1, 1.5, 2.0))
+    @pytest.mark.parametrize("g", (0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0))
     def test_swap_near_window_edge(self, g):
         rng = np.random.default_rng([23, int(g * 10)])
         for _ in range(30):
             assert_matches_oracle(AssignmentProblem(matrix_from(self.table(rng, g))))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the swap (1, 0, 2) totals exactly the window's edge as one numpy sum, "
-        "which the oracle keeps; the row scan sums it as row 0 plus the rest's "
-        "optimum, which rounds past the edge, so solve keeps sigma (2, 0, 1)",
-    )
     def test_swap_on_window_edge(self):
-        # a g = 1 table: whether the swap is in the window is decided by the
-        # rounding of the summation order
+        # a g = 1 table: the swap (1, 0, 2) totals exactly the window's edge
+        # as one numpy sum, which the oracle keeps; summed as row 0 plus the
+        # rest's optimum it would round past the edge
         totals = np.array(
             [
                 [101.15426175761664, 8.278064099315317, 8.278064091147069],
@@ -198,6 +198,50 @@ class TestNearWindow:
             ]
         )
         assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+
+class TestCertificates:
+    """Every path of the tie certificate against the exhaustive oracle:
+    the row screen, then the closure up to _CLOSURE_MAX_N rows and the
+    potentials above it.  Forcing the cutoff to 0 or past the oracle's
+    bound sends every contested table down one path."""
+
+    @pytest.mark.parametrize("cutoff", (0, 8))
+    @settings(max_examples=300, deadline=None)
+    @given(cost_tables(st.integers(0, 3)), st.data())
+    def test_forced_path_matches_oracle(self, cutoff, totals, data):
+        m = totals.shape[1]
+        if data.draw(st.booleans()):
+            # identical objects give identical columns
+            totals = totals[:, data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_CLOSURE_MAX_N", cutoff)
+            assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+    def test_closure_and_potentials_agree(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(29)
+        contested = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 9))
+            m = n + int(rng.integers(0, 4))
+            costs = rng.integers(0, 4, size=(n, m)).astype(float)
+            if trial % 3 == 0:
+                costs = costs[:, rng.integers(0, m, size=m)]
+            _, sigma = linear_sum_assignment(costs)
+            base = costs[np.arange(n), sigma]
+            best = float(base.sum())
+            budget = (best + _tol(best)) - best
+            rest = costs - base[:, None]
+            rest[np.arange(n), sigma] = np.inf
+            if rest.min() > budget:
+                continue
+            contested += 1
+            assert solver._closure_certifies(rest, sigma, budget) == (
+                solver._potentials_certify(costs, sigma, budget)
+            )
+        assert contested > 300
 
 
 class TestCategorySeparation:
@@ -363,7 +407,7 @@ class TestDualPotentials:
                 costs = pool[rng.integers(0, pool.size, size=(n, m))]
             else:
                 costs = rng.uniform(0.0, 10.0, size=(n, m))
-            fast = _canonical_cols(costs)
+            fast, _ = _canonical_cols(costs)
             _, ci = linear_sum_assignment(costs)
             best = _gather_total(costs, ci)
             slow = _scan_cols(costs, best + _tol(best))
@@ -458,6 +502,99 @@ class TestPreparePipeline:
             CostWeights(w_t=0.36 * np.sqrt(144.0), w_r=1.0),
         )
         assert np.array_equal(prepared.problem.matrix.total, built.total)
+
+
+def plan_snapshot(plan) -> tuple:
+    side = plan.side
+    arrays = (side.x, side.z, side.yaw, side.boxes, side.box_col)
+    return (
+        plan.kept_site_ids,
+        plan.effective_threshold,
+        plan.candidates,
+        side.labels,
+        side.types,
+        tuple(a.tobytes() for a in arrays),
+    )
+
+
+class TestStopPlan:
+    """One plan per (stop, threshold), reused across noise cells, prepares
+    what a fresh `prepare_problem` prepares, byte for byte."""
+
+    COSTS = ("c_t", "c_r", "c_d", "total")
+
+    def assert_same(self, reused, fresh, observation, layout):
+        for name in self.COSTS:
+            a = getattr(reused.problem.matrix, name)
+            b = getattr(fresh.problem.matrix, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert reused.problem.matrix.candidates == fresh.problem.matrix.candidates
+        assert reused.candidates == fresh.candidates
+        assert reused.kept_site_ids == fresh.kept_site_ids
+        assert reused.effective_threshold == fresh.effective_threshold
+        # the candidate half and the detection half rebuild the one-shot build
+        whole = build_cost_matrix(
+            observation.detections, fresh.candidates, layout.bounds, default_weights(layout.bounds)
+        )
+        assert reused.problem.matrix.total.tobytes() == whole.total.tobytes()
+
+    @pytest.mark.parametrize("category_separated", (False, True))
+    @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
+    def test_reused_plan_matches_fresh_prepare(self, archetype, category_separated):
+        layout = generate_scene(archetype, 3)
+        cameras = camera_stops(patrol_route(layout))
+        cells = [
+            perturb_layout(layout, NoiseModel(t_sd=a, r_sd=b), derive_seed(3, k))
+            for k, (a, b) in enumerate(((0.1, 15.0), (1.0, 60.0), (3.0, 120.0)))
+        ]
+        for threshold in (0.0, 0.25, 1.0):
+            for camera in cameras:
+                plan = plan_stop(layout, camera, threshold)
+                before = plan_snapshot(plan)
+                for perturbed in cells:
+                    observation = synthesize_observation(perturbed, camera)
+                    reused = plan.prepare(observation, None, category_separated)
+                    fresh = prepare_problem(
+                        layout, observation, threshold, None, category_separated
+                    )
+                    self.assert_same(reused, fresh, observation, layout)
+                    # the next cell starts from the plan as it was built
+                    assert plan_snapshot(plan) == before
+
+    def test_readmitting_cell_leaves_plan_unchanged(self, clustered_layout):
+        # the containing cell holds three candidates: four detections make
+        # the first cell re-admit sites, and the next cell, of two
+        # detections, must see the plan's original pool again
+        camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
+        plan = plan_stop(clustered_layout, camera, 0.0)
+        before = plan_snapshot(plan)
+        crowded = Observation(
+            camera=camera,
+            detections=tuple(make_detection(float(x), 6.0) for x in (1, 2, 3, 4)),
+        )
+        sparse = Observation(camera=camera, detections=crowded.detections[:2])
+        first = plan.prepare(crowded)
+        assert first.kept_site_ids > plan.kept_site_ids
+        assert first.effective_threshold > plan.effective_threshold == 0.0
+        assert plan_snapshot(plan) == before
+        second = plan.prepare(sparse)
+        assert second.kept_site_ids == plan.kept_site_ids == {"S01"}
+        for observation, reused in ((crowded, first), (sparse, second)):
+            fresh = prepare_problem(clustered_layout, observation, 0.0)
+            self.assert_same(reused, fresh, observation, clustered_layout)
+
+    def test_observation_from_another_camera_rejected(self, clustered_layout):
+        camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
+        elsewhere = CameraState(position=(10.0, 2.0), yaw=0.0, fov=359.0, range=50.0)
+        plan = plan_stop(clustered_layout, camera, 0.0)
+        with pytest.raises(SceneValidationError):
+            plan.prepare(Observation(camera=elsewhere, detections=(make_detection(1.6, 5.1),)))
+
+    def test_plan_arrays_read_only(self, clustered_layout):
+        camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
+        side = plan_stop(clustered_layout, camera, 0.0).side
+        for array in (side.x, side.z, side.yaw, side.boxes, side.box_col):
+            assert not array.flags.writeable
 
 
 TWIN_DIMS = {"chair": (0.5, 0.9, 0.5), "table": (1.4, 0.8, 0.9)}
