@@ -46,9 +46,6 @@ from .scene import (
 _REL_TOL = 1e-9
 _BRUTE_FORCE_MAX_N = 8
 _BRUTE_FORCE_MAX_M = 10
-# the closure certificate is O(n^3); above this many rows the potentials
-# certificate is faster
-_CLOSURE_MAX_N = 24
 
 
 class AssignmentError(RuntimeError):
@@ -110,121 +107,30 @@ def _gather_total(costs: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sum(costs[np.arange(n), cols]))
 
 
-def _dual_potentials(costs: np.ndarray, sigma: np.ndarray) -> np.ndarray | None:
-    """Greatest column potentials certifying the optimality of sigma.
-
-    Fixpoint of v[j] <- min(v[j], min_i(costs[i, j] - costs[i, sigma_i]
-    + v[sigma_i])) from v = 0.  At the fixpoint v <= 0, v = 0 on columns
-    sigma leaves unused, and u[i] = costs[i, sigma_i] - v[sigma_i] makes
-    every reduced cost nonnegative and every matched one exactly zero.
-    Returns None if the iteration fails to settle (never seen in practice;
-    the bound exists so the caller can fall back to the scan).
-    """
-    n, m = costs.shape
-    rows = np.arange(n)
-    base = costs[rows, sigma]
-    v = np.zeros(m)
-    for _ in range(m + 4):
-        s = v[sigma] - base
-        v_new = np.minimum(v, (costs + s[:, None]).min(axis=0))
-        if np.array_equal(v_new, v):
-            return v
-        v = v_new
-    return None
-
-
-def _potentials_certify(costs: np.ndarray, sigma: np.ndarray, budget: float) -> bool:
-    """The certificate for many rows, through potentials.
-
-    With potentials v and reduced costs rc, any other assignment T obeys
-    val(T) - val(sigma) = sum rc(new edges) + sum over abandoned columns
-    of -v, all terms nonnegative.  T decomposes against sigma into
-    alternating cycles and abandoned-to-unused paths, which appear in the
-    column digraph (edges sigma_i -> j per light cell (i, j)) as directed
-    cycles and paths.  No light cycle and no light path from an abandoned
-    column with -v within budget to an unused column means no such T.
-    """
-    n, m = costs.shape
-    rows = np.arange(n)
-    v = _dual_potentials(costs, sigma)
-    if v is None:
-        return False
-    u = costs[rows, sigma] - v[sigma]
-    rc = costs - u[:, None] - v[None, :]
-    rc[rows, sigma] = np.inf
-    light = rc <= budget
-    if not light.any():
-        return True
-    li, heads = np.nonzero(light)
-    tails = sigma[li]
-    used = np.zeros(m, dtype=bool)
-    used[sigma] = True
-
-    # backward reachability from unused columns along light edges; a tie
-    # path must additionally start at a matched column with -v in budget
-    reach = ~used
-    while True:
-        grow = reach[heads] & ~reach[tails]
-        if not grow.any():
-            break
-        reach[tails[grow]] = True
-    if (used & reach & (-v <= budget)).any():
-        return False
-
-    # cycle test: repeatedly discard edges whose tail no other active
-    # edge feeds; edges on or behind a cycle never become discardable
-    active = np.ones(len(li), dtype=bool)
-    while active.any():
-        indeg = np.bincount(heads[active], minlength=m)
-        removable = active & (indeg[tails] == 0)
-        if not removable.any():
-            return False
-        active &= ~removable
-    return True
-
-
-def _closure_certifies(rest: np.ndarray, sigma: np.ndarray, budget: float) -> bool:
-    """The certificate for few rows, through a min-plus closure.
-
-    Row i moving to row k's column costs rest[i, sigma_k]; moving to an
-    unused column costs at least the row's least rest over those columns.
-    Every other assignment is a set of disjoint cycles and paths to the
-    sink in that (n + 1)-node row graph, each costing >= 0 since sigma is
-    optimal, so sigma is alone in the window iff the cheapest cycle and
-    the cheapest path to the sink both cost more than the budget.
-    """
-    n, m = rest.shape
-    graph = np.full((n + 1, n + 1), np.inf)
-    graph[:n, :n] = rest[:, sigma]  # diagonal: rest's sigma cells, inf
-    unused = np.ones(m, dtype=bool)
-    unused[sigma] = False
-    if unused.any():
-        graph[:n, n] = rest[:, unused].min(axis=1)
-    via = np.empty_like(graph)
-    for k in range(n):
-        np.add(graph[:, k, None], graph[k], out=via)
-        np.minimum(graph, via, out=graph)
-    return bool(graph.diagonal()[:n].min() > budget and graph[:n, n].min() > budget)
-
-
 def _unique_within_window(
     costs: np.ndarray, rows: np.ndarray, sigma: np.ndarray, base: np.ndarray, budget: float
 ) -> bool:
     """True when sigma (row i takes column sigma_i, at cost base_i) is
     provably the only assignment within `budget` of its total.
 
-    A row screen settles most stops: when every row's sigma cell beats
-    each of its other cells by more than the budget, any other assignment
-    raises some row by more than that and lowers none.  Otherwise the
-    closure decides up to _CLOSURE_MAX_N rows and potentials decide above.
+    In rest space, rest[i, j] = costs[i, j] - base_i, any other assignment
+    T costs val(T) - val(sigma).  A row screen settles most stops: when
+    every row's other cells cost more than the budget, so does every T.
+
+    Otherwise one more solve decides, with sigma's cells set to 2 * budget.
+    A T that keeps k of sigma's n cells costs k * 2 * budget + val(T) -
+    val(sigma) there, against n * 2 * budget for sigma.  If no assignment
+    beats sigma, every such T costs at least (n - k) * 2 * budget more than
+    sigma, past the budget.  The test is sufficient only; when it declines,
+    the row scan decides exactly.
     """
     rest = costs - base[:, None]
     rest[rows, sigma] = np.inf
     if rest.min() > budget:
         return True
-    if len(rows) <= _CLOSURE_MAX_N:
-        return _closure_certifies(rest, sigma, budget)
-    return _potentials_certify(costs, sigma, budget)
+    rest[rows, sigma] = 2 * budget
+    ri, ci = linear_sum_assignment(rest)
+    return bool(rest[ri, ci].sum() >= rest[rows, sigma].sum())
 
 
 def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from relabel import solver
 from relabel.costs import CostMatrix, CostWeights, build_cost_matrix, default_weights
@@ -121,6 +123,15 @@ def cost_tables(values):
     )
 
 
+def certificate_args(costs: np.ndarray) -> tuple:
+    """The tie certificate's arguments as `solve` builds them: sigma from
+    one LSA, its cells, and twice the tie window's budget."""
+    rows, sigma = linear_sum_assignment(costs)
+    base = costs[rows, sigma]
+    best = float(base.sum())
+    return rows, sigma, base, 2 * ((best + _tol(best)) - best)
+
+
 class TestBruteForce:
     def test_bound_enforced(self):
         with pytest.raises(BruteForceBoundError):
@@ -163,11 +174,12 @@ class TestTieHeavy:
 class TestNearWindow:
     """solve against the exhaustive oracle when a second assignment sits
     near the edge of the tie window: sigma wins every row by 100, and one
-    swap of two rows costs g times the window's budget more than sigma."""
+    swap of two rows raises their cells by up_i and up_k times the
+    window's budget, g = up_i + up_k in all."""
 
     SHAPES = tuple((n, m) for n, m in ORACLE_SHAPES if n >= 2)
 
-    def table(self, rng, g):
+    def table(self, rng, up_i, up_k):
         n, m = self.SHAPES[int(rng.integers(len(self.SHAPES)))]
         totals = rng.uniform(1.0, 10.0, size=(n, m))
         sigma = rng.permutation(m)[:n]
@@ -175,16 +187,48 @@ class TestNearWindow:
         off[np.arange(n), sigma] = False
         totals[off] += 100.0
         i, k = sorted(rng.choice(n, size=2, replace=False))
-        half = g * _tol(float(np.sum(totals[np.arange(n), sigma]))) / 2
-        totals[i, sigma[k]] = totals[i, sigma[i]] + half
-        totals[k, sigma[i]] = totals[k, sigma[k]] + half
+        unit = _tol(float(np.sum(totals[np.arange(n), sigma])))
+        totals[i, sigma[k]] = totals[i, sigma[i]] + up_i * unit
+        totals[k, sigma[i]] = totals[k, sigma[k]] + up_k * unit
         return totals
 
     @pytest.mark.parametrize("g", (0.0, 0.5, 0.9, 1.0, 1.1, 1.5, 2.0))
     def test_swap_near_window_edge(self, g):
         rng = np.random.default_rng([23, int(g * 10)])
         for _ in range(30):
-            assert_matches_oracle(AssignmentProblem(matrix_from(self.table(rng, g))))
+            assert_matches_oracle(AssignmentProblem(matrix_from(self.table(rng, g / 2, g / 2))))
+
+    def test_swap_in_decline_band_goes_to_scan(self):
+        # in window budgets: the certificate's budget is 2, so each half
+        # (1.5) contests the row screen, and the swap (3) is out of the
+        # budget but under the 2 * 2 * 2 = 8 at which the raised re-solve
+        # stops preferring a two-row swap, so the row scan decides
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            totals = self.table(rng, 1.5, 1.5)
+            assert not solver._unique_within_window(totals, *certificate_args(totals))
+            assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+    def test_lopsided_swap_is_certified(self):
+        # halves of 0.5 and 20 window budgets: the 0.5 contests the row
+        # screen, and the swap (20.5) is past the 8 the re-solve needs
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            totals = self.table(rng, 0.5, 20.0)
+            assert solver._unique_within_window(totals, *certificate_args(totals))
+            assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+    def test_signed_big_cells(self):
+        # integer tables in {-2..2} times one scale of 10^6..10^13: a
+        # total near 0 gives a budget far below a big cell's rounding, so
+        # the raise must not be added to the cells themselves
+        rng = np.random.default_rng(41)
+        for _ in range(600):
+            n = int(rng.integers(2, 7))
+            m = n + int(rng.integers(0, 3))
+            scale = 10.0 ** int(rng.integers(6, 14))
+            totals = rng.integers(-2, 3, size=(n, m)) * scale
+            assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
     def test_swap_on_window_edge(self):
         # a g = 1 table: the swap (1, 0, 2) totals exactly the window's edge
@@ -201,47 +245,60 @@ class TestNearWindow:
 
 
 class TestCertificates:
-    """Every path of the tie certificate against the exhaustive oracle:
-    the row screen, then the closure up to _CLOSURE_MAX_N rows and the
-    potentials above it.  Forcing the cutoff to 0 or past the oracle's
-    bound sends every contested table down one path."""
+    """The tie certificate (a row screen, then one re-solve with sigma's
+    cells raised) against exhaustive enumeration."""
 
-    @pytest.mark.parametrize("cutoff", (0, 8))
     @settings(max_examples=300, deadline=None)
     @given(cost_tables(st.integers(0, 3)), st.data())
-    def test_forced_path_matches_oracle(self, cutoff, totals, data):
+    def test_matches_oracle(self, totals, data):
         m = totals.shape[1]
         if data.draw(st.booleans()):
             # identical objects give identical columns
             totals = totals[:, data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_CLOSURE_MAX_N", cutoff)
-            assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+        assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
-    def test_closure_and_potentials_agree(self):
-        from scipy.optimize import linear_sum_assignment
-
+    def test_certificate_is_sound(self):
+        # whenever it holds, no second assignment lies within the budget
         rng = np.random.default_rng(29)
-        contested = 0
+        contested = certified = 0
         for trial in range(600):
-            n = int(rng.integers(1, 9))
-            m = n + int(rng.integers(0, 4))
+            n = int(rng.integers(1, 8))
+            m = n + int(rng.integers(0, 3))
             costs = rng.integers(0, 4, size=(n, m)).astype(float)
             if trial % 3 == 0:
                 costs = costs[:, rng.integers(0, m, size=m)]
-            _, sigma = linear_sum_assignment(costs)
-            base = costs[np.arange(n), sigma]
+            rows, sigma, base, budget = certificate_args(costs)
             best = float(base.sum())
-            budget = (best + _tol(best)) - best
             rest = costs - base[:, None]
-            rest[np.arange(n), sigma] = np.inf
-            if rest.min() > budget:
+            rest[rows, sigma] = np.inf
+            screened = rest.min() > budget
+            contested += not screened
+            if not solver._unique_within_window(costs, rows, sigma, base, budget):
                 continue
-            contested += 1
-            assert solver._closure_certifies(rest, sigma, budget) == (
-                solver._potentials_certify(costs, sigma, budget)
-            )
-        assert contested > 300
+            certified += not screened
+            perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
+            totals = costs[rows[None, :], perms].sum(axis=1)
+            assert np.count_nonzero(totals <= best + budget) == 1
+        assert contested >= 300
+        assert certified > 0
+
+    def test_certificate_path_matches_row_scan(self):
+        from relabel.solver import _canonical_cols, _gather_total, _scan_cols
+
+        rng = np.random.default_rng(19)
+        pool = np.array([0.0, 1.0, 1.0, 2.0, 2.5, 2.5, 7.0])
+        for trial in range(200):
+            n = int(rng.integers(1, 10))
+            m = n + int(rng.integers(0, 6))
+            if trial % 2:
+                costs = pool[rng.integers(0, pool.size, size=(n, m))]
+            else:
+                costs = rng.uniform(0.0, 10.0, size=(n, m))
+            fast, _ = _canonical_cols(costs)
+            _, ci = linear_sum_assignment(costs)
+            best = _gather_total(costs, ci)
+            slow = _scan_cols(costs, best + _tol(best))
+            assert np.array_equal(fast, slow)
 
 
 class TestCategorySeparation:
@@ -329,89 +386,6 @@ class TestSolveProperties:
         labels = [lab for _, lab in result.pairs]
         assert rows == list(range(5))
         assert len(set(labels)) == 5
-
-
-class TestDualPotentials:
-    """The uniqueness certificate's footing: feasible tight potentials and
-    the decomposition identity they are used through."""
-
-    @staticmethod
-    def instances(rng, count, lo=8, hi=26):
-        for _ in range(count):
-            n = int(rng.integers(1, hi))
-            m = n + int(rng.integers(0, lo))
-            costs = rng.uniform(0.0, 10.0, size=(n, m))
-            for _ in range(int(rng.integers(0, 3))):
-                j1, j2 = rng.integers(0, m, size=2)
-                costs[:, j2] = costs[:, j1]
-            yield costs
-
-    def test_potentials_feasible_tight_and_anchored(self):
-        from scipy.optimize import linear_sum_assignment
-
-        from relabel.solver import _dual_potentials
-
-        rng = np.random.default_rng(17)
-        for costs in self.instances(rng, 120):
-            n, m = costs.shape
-            _, sigma = linear_sum_assignment(costs)
-            v = _dual_potentials(costs, sigma)
-            assert v is not None
-            rows = np.arange(n)
-            u = costs[rows, sigma] - v[sigma]
-            rc = costs - u[:, None] - v[None, :]
-            scale = max(1.0, float(np.abs(costs).max()))
-            assert rc.min() >= -1e-12 * scale
-            assert np.all(np.abs(rc[rows, sigma]) <= 1e-12 * scale)
-            assert v.max() <= 0.0
-            unused = np.ones(m, dtype=bool)
-            unused[sigma] = False
-            assert np.all(v[unused] == 0.0)
-
-    def test_decomposition_identity_on_random_alternates(self):
-        # val(T) - val(sigma) == sum rc over T's new edges plus -v over
-        # the columns T abandons; the certificate prunes through this
-        from scipy.optimize import linear_sum_assignment
-
-        from relabel.solver import _dual_potentials
-
-        rng = np.random.default_rng(18)
-        for costs in self.instances(rng, 60, hi=10):
-            n, m = costs.shape
-            rows = np.arange(n)
-            _, sigma = linear_sum_assignment(costs)
-            v = _dual_potentials(costs, sigma)
-            u = costs[rows, sigma] - v[sigma]
-            rc = costs - u[:, None] - v[None, :]
-            best = float(costs[rows, sigma].sum())
-            for _ in range(10):
-                alt = rng.permutation(m)[:n]
-                new = alt != sigma
-                gone = np.setdiff1d(sigma[new], alt[new])
-                lhs = float(costs[rows, alt].sum()) - best
-                rhs = float(rc[rows[new], alt[new]].sum()) + float(-v[gone].sum())
-                assert lhs == pytest.approx(rhs, abs=1e-9)
-                assert rhs >= -1e-9
-
-    def test_certificate_path_matches_row_scan(self):
-        from scipy.optimize import linear_sum_assignment
-
-        from relabel.solver import _canonical_cols, _gather_total, _scan_cols, _tol
-
-        rng = np.random.default_rng(19)
-        pool = np.array([0.0, 1.0, 1.0, 2.0, 2.5, 2.5, 7.0])
-        for trial in range(200):
-            n = int(rng.integers(1, 10))
-            m = n + int(rng.integers(0, 6))
-            if trial % 2:
-                costs = pool[rng.integers(0, pool.size, size=(n, m))]
-            else:
-                costs = rng.uniform(0.0, 10.0, size=(n, m))
-            fast, _ = _canonical_cols(costs)
-            _, ci = linear_sum_assignment(costs)
-            best = _gather_total(costs, ci)
-            slow = _scan_cols(costs, best + _tol(best))
-            assert np.array_equal(fast, slow)
 
 
 @pytest.fixture
