@@ -99,9 +99,6 @@ class SiteProbabilities:
                 if abs(entry.cumulative - running) > 1e-9:
                     raise PartitionError("cumulative must be the running probability sum")
 
-    def site_count(self) -> int:
-        return 1 + len(self.entries)
-
 
 def validate_threshold(threshold: float) -> float:
     threshold = float(threshold)

@@ -12,13 +12,16 @@ one with the lexicographically smallest pair sequence in detection order.
 Totals are recomputed as a single numpy sum over the chosen cells in
 detection order so that both routes report bit-identical costs when they
 agree on the pairs.
+
+Category separation forbids the cells that pair a detection with a label of
+another type (they cost infinity); the instance is still solved as one
+table, so the tie window is the whole instance's.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -36,7 +39,6 @@ from .costs import (
 from .partition import SiteProbabilities, candidate_labels, prune_sites, site_probabilities
 from .scene import (
     CameraState,
-    Detection,
     ObjectInstance,
     Observation,
     SceneLayout,
@@ -192,7 +194,6 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
         # unused column cannot change the sub-problem optimum), a lower
         # bound for the rest
         bound = prefix + row + rest_value
-        cand = np.flatnonzero(bound <= window)
 
         def exact_completion(pos: int) -> float:
             if user is None or user[pos] < 0:
@@ -205,26 +206,15 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
             return float(cells.sum())
 
         pick_pos = -1
-        fallback_pos = -1
-        fallback_value = math.inf
-        for pos in cand:
-            completion = exact_completion(pos)
-            if completion <= window:
+        for pos in np.flatnonzero(bound <= window):
+            if exact_completion(pos) <= window:
                 pick_pos = pos
                 break
-            if completion < fallback_value:
-                fallback_pos = pos
-                fallback_value = completion
         if pick_pos < 0:
-            if fallback_pos < 0:
-                # float dust pushed every column past the screen; fall back
-                # to exact completions so a column is always chosen
-                for pos in range(avail_idx.size):
-                    completion = exact_completion(pos)
-                    if completion < fallback_value:
-                        fallback_pos = pos
-                        fallback_value = completion
-            pick_pos = fallback_pos
+            # rounding left no screened column with an in-window completion:
+            # take the cheapest exact completion over every allowed column
+            allowed = np.flatnonzero(np.isfinite(row))
+            pick_pos = allowed[int(np.argmin([exact_completion(pos) for pos in allowed]))]
         pick = int(avail_idx[pick_pos])
         chosen[r] = pick
         available[pick] = False
@@ -234,32 +224,29 @@ def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
 
 
 def _require_typed(detection_types: tuple[str | None, ...]) -> tuple[str, ...]:
-    if any(t is None for t in detection_types):
-        raise SceneValidationError("per-type assignment requires every detection to carry a type")
+    for i, object_type in enumerate(detection_types):
+        if object_type is None:
+            raise SceneValidationError(
+                f"detections[{i}] has no type; per-type assignment requires every "
+                "detection to carry one"
+            )
     return detection_types  # type: ignore[return-value]
 
 
-def _typed_cols(matrix: CostMatrix) -> np.ndarray:
-    """Solve one block per object type, then merge back in detection order."""
-    det_types = _require_typed(matrix.detection_types)
-    n = len(det_types)
-    chosen = np.full(n, -1, dtype=np.intp)
-    for object_type in sorted(set(det_types)):
-        rows = [i for i, t in enumerate(det_types) if t == object_type]
-        cols = [j for j, t in enumerate(matrix.candidate_types) if t == object_type]
-        if len(rows) > len(cols):
-            raise InfeasibleAssignmentError(len(rows), len(cols), category=object_type)
-        sub_cols, _ = _canonical_cols(matrix.total[np.ix_(rows, cols)])
-        for row, sub_col in zip(rows, sub_cols):
-            chosen[row] = cols[sub_col]
-    return chosen
+def _type_shortfall(
+    detection_types: tuple[str, ...], candidate_types: tuple[str, ...]
+) -> tuple[str, int, int] | None:
+    """The first type, in sorted order, with more detections than candidate
+    labels, as (type, detections, candidates); None when every type fits."""
+    need = Counter(detection_types)
+    have = Counter(candidate_types)
+    for object_type in sorted(need):
+        if need[object_type] > have[object_type]:
+            return object_type, need[object_type], have[object_type]
+    return None
 
 
-def _as_result(
-    matrix: CostMatrix, cols: np.ndarray, total: float | None = None
-) -> AssignmentResult:
-    if total is None:
-        total = _gather_total(matrix.total, cols)
+def _as_result(matrix: CostMatrix, cols: np.ndarray, total: float) -> AssignmentResult:
     labels = matrix.candidates
     pairs = tuple(zip(range(len(cols)), [labels[c] for c in cols.tolist()]))
     return AssignmentResult(pairs=pairs, total_cost=total, candidate_count=matrix.shape[1])
@@ -269,15 +256,23 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
     """Minimum-cost assignment of candidate labels to detections.
 
     With category separation, detections may only take labels of objects of
-    the same type and the instance decomposes into one block per type.
+    the same type: the other cells are forbidden (infinite), and the same
+    solve runs with the whole instance's tie window.
     """
     matrix = problem.matrix
     n, m = matrix.shape
     if n == 0:
         return AssignmentResult(pairs=(), total_cost=0.0, candidate_count=m)
+    costs = matrix.total
     if problem.category_separated:
-        return _as_result(matrix, _typed_cols(matrix))
-    return _as_result(matrix, *_canonical_cols(matrix.total))
+        det_types = _require_typed(matrix.detection_types)
+        short = _type_shortfall(det_types, matrix.candidate_types)
+        if short is not None:
+            object_type, need, have = short
+            raise InfeasibleAssignmentError(need, have, category=object_type)
+        cross = np.array(det_types)[:, None] != np.array(matrix.candidate_types)[None, :]
+        costs = np.where(cross, np.inf, costs)
+    return _as_result(matrix, *_canonical_cols(costs))
 
 
 def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
@@ -311,8 +306,8 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
         raise InfeasibleAssignmentError(n, m)
     best = float(totals[finite].min())
     in_window = totals <= best + _tol(best)
-    first = int(np.argmax(in_window))
-    return _as_result(matrix, perms[first])
+    cols = perms[int(np.argmax(in_window))]
+    return _as_result(matrix, cols, _gather_total(matrix.total, cols))
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +316,16 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
 
 
 def _is_feasible(
-    detections: tuple[Detection, ...],
+    detection_types: tuple[str | None, ...],
     candidates: tuple[ObjectInstance, ...],
     category_separated: bool,
 ) -> bool:
-    if len(detections) > len(candidates):
+    if len(detection_types) > len(candidates):
         return False
-    if category_separated:
-        need = Counter(d.object_type for d in detections)
-        have = Counter(c.object_type for c in candidates)
-        return all(have.get(t, 0) >= k for t, k in need.items())
-    return True
+    return (
+        not category_separated
+        or _type_shortfall(detection_types, tuple(c.object_type for c in candidates)) is None
+    )
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -381,15 +375,16 @@ class StopPlan:
         if weights is None:
             weights = default_weights(layout.bounds)
         detections = observation.detections
+        detection_types = tuple(d.object_type for d in detections)
         if category_separated:
-            _require_typed(tuple(d.object_type for d in detections))
+            _require_typed(detection_types)
         kept, effective = self.kept_site_ids, self.effective_threshold
         candidates, side = self.candidates, self.side
         entries = self.probabilities.entries
         start = depth = len(kept) - 1  # how many ranked entries are included
         readmitted = set(kept)
         while (
-            not _is_feasible(detections, candidates, category_separated)
+            not _is_feasible(detection_types, candidates, category_separated)
             and depth < len(entries)
         ):
             entry = entries[depth]

@@ -165,6 +165,20 @@ class TestMalformedInput:
         assert run("sweep", "--archetype", "L1", "--stop-interval", "inf") == 3
         assert "stop interval" in capsys.readouterr().err
 
+    def test_untyped_detection_with_category_separation_exits_3(
+        self, tmp_path, scene_file, capsys
+    ):
+        layout = load_scene(scene_file)
+        observation = synthesize_observation(layout, camera_stops(patrol_route(layout))[0])
+        path = tmp_path / "untyped.json"
+        save_observation(observation, path)
+        doc = json.loads(path.read_text())
+        assert len(doc["detections"]) >= 3
+        del doc["detections"][2]["type"]
+        path.write_text(json.dumps(doc))
+        assert run("assign", str(scene_file), str(path), "--category-separated") == 3
+        assert "detections[2]" in capsys.readouterr().err
+
 
 class TestGenerate:
     def test_same_seed_same_bytes(self, tmp_path):

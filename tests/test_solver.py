@@ -243,6 +243,23 @@ class TestNearWindow:
         )
         assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
+    def test_scan_falls_back_to_every_column(self):
+        # at row 1 the screen rounds the in-window column 3 out, and the
+        # only screened column, 0, completes 100 past the optimum: the
+        # scan must then take the cheapest completion over every column
+        totals = np.array(
+            [
+                [200.000000003, 0, 0, 200, 100.00000002],
+                [3, 3, 200, 3.000000003, 100.00000002],
+                [2e-8, 3, 100.00000002, 200.00000002, 100.000000003],
+                [3e-9, 3, 100.000000003, 200.000000003, 3e-9],
+            ]
+        )
+        result = assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+        rows, cols = linear_sum_assignment(totals)
+        best = float(totals[rows, cols].sum())
+        assert result.total_cost <= best + _tol(best)
+
 
 class TestCertificates:
     """The tie certificate (a row screen, then one re-solve with sigma's
@@ -336,15 +353,24 @@ class TestCategorySeparation:
         with pytest.raises(SceneValidationError):
             solve(problem)
 
+    def test_instance_window_decides_a_cross_type_tie(self):
+        # (c-00, c-01) is 5e-9 dearer than (c-01, c-00): outside the chairs'
+        # own window (2e-9), inside the whole instance's (1e-6), so the
+        # lexicographically smaller pairing wins
+        totals = np.array([[1 + 5e-9, 1.0, 9.0], [1.0, 1.0, 9.0], [9.0, 9.0, 1000.0]])
+        types = ("chair", "chair", "table")
+        problem = AssignmentProblem(
+            matrix_from(totals, detection_types=types, candidate_types=types),
+            category_separated=True,
+        )
+        assert solve(problem).pairs == ((0, "c-00"), (1, "c-01"), (2, "c-02"))
+        assert_matches_oracle(problem)
+
     def test_matches_brute_force_with_types(self):
         rng = np.random.default_rng(7)
         types = ("chair", "table", "lamp")
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            m = int(rng.integers(n, 9))
-            cand_types = tuple(types[i] for i in rng.integers(0, len(types), size=m))
-            det_types = tuple(cand_types[i] for i in rng.integers(0, m, size=n))
-            totals = rng.uniform(0.0, 5.0, size=(n, m))
+
+        def check(totals, det_types, cand_types):
             problem = AssignmentProblem(
                 matrix_from(totals, detection_types=det_types, candidate_types=cand_types),
                 category_separated=True,
@@ -354,10 +380,36 @@ class TestCategorySeparation:
             except InfeasibleAssignmentError:
                 with pytest.raises(InfeasibleAssignmentError):
                     brute_force_solve(problem)
-                continue
+                return
             slow = brute_force_solve(problem)
             assert fast.pairs == slow.pairs
             assert fast.total_cost == slow.total_cost
+
+        for _ in range(100):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n, 9))
+            cand_types = tuple(types[i] for i in rng.integers(0, len(types), size=m))
+            det_types = tuple(cand_types[i] for i in rng.integers(0, m, size=n))
+            check(rng.uniform(0.0, 5.0, size=(n, m)), det_types, cand_types)
+        # near ties: integer cells, 100 times dearer for tables, and one
+        # chair or lamp cell raised by half the whole instance's tie window,
+        # far more than the window of the light types alone
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(n, 9))
+            cand_types = tuple(types[i] for i in rng.integers(0, len(types), size=m))
+            det_types = tuple(cand_types[j] for j in rng.permutation(m)[:n])
+            totals = rng.integers(0, 4, size=(n, m)).astype(float)
+            heavy = np.array(det_types) == "table"
+            totals[heavy] *= 100.0
+            allowed = np.array(det_types)[:, None] == np.array(cand_types)[None, :]
+            rows, cols = linear_sum_assignment(np.where(allowed, totals, np.inf))
+            light = np.flatnonzero(~heavy)
+            if light.size:
+                i = rng.choice(light)
+                j = rng.choice(np.flatnonzero(allowed[i]))
+                totals[i, j] += 0.5 * _tol(float(totals[rows, cols].sum()))
+            check(totals, det_types, cand_types)
 
 
 class TestSolveProperties:
