@@ -277,6 +277,14 @@ _SWEEP_MODES = {
 
 
 def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
+    # each threshold flag applies to one mode; the other would ignore it
+    for flag, value, mode in (
+        ("--threshold", args.threshold, "noise"),
+        ("--thresholds", args.thresholds, "threshold"),
+    ):
+        if value is not None and args.mode != mode:
+            print(f"error: {flag} applies to --mode {mode} only", file=sys.stderr)
+            return EXIT_USAGE
     layout = _sweep_layout(args)
     route = _sweep_route(args, layout)
     out_dir = _out_dir(args.out_dir)
@@ -293,7 +301,7 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         r_list=r_list,
         seeds=args.seeds,
         master_seed=args.seed,
-        threshold=args.threshold,
+        threshold=1.0 if args.threshold is None else args.threshold,
         weights=args.weights,
         category_separated=args.category_separated,
         fov=args.fov,
@@ -393,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--noise", type=_parse_float_list, default=None, metavar="A[,B]",
         help="single noise cell: translation sd and optional rotation sd",
     )
-    swp.add_argument("--threshold", type=float, default=1.0, help="pruning threshold (noise mode)")
+    swp.add_argument(
+        "--threshold", type=float, default=None, help="pruning threshold (noise mode; default 1.0)"
+    )
     swp.add_argument(
         "--thresholds", type=_parse_float_list, default=None, metavar="T1,T2,...",
         help="threshold grid (threshold mode; default 0..1 step 0.05)",

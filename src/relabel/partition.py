@@ -131,12 +131,21 @@ def site_distances(
     return tuple((s.id, s.distance_to(position)) for s in _check_sites(sites))
 
 
+def _nearest(
+    position: tuple[float, float], sites: tuple[VoronoiSite, ...]
+) -> tuple[int, list[float]]:
+    """Index of the nearest site, distance ties breaking toward the smallest
+    id, and every site's distance, each measured once, in site order."""
+    dists = [s.distance_to(position) for s in sites]
+    return min(range(len(sites)), key=lambda i: (dists[i], sites[i].id)), dists
+
+
 def containing_site(
     camera: CameraState | tuple[float, float], sites: tuple[VoronoiSite, ...]
 ) -> str:
     """Id of the nearest site; distance ties break toward the smallest id."""
-    position = _position_of(camera)
-    return min(_check_sites(sites), key=lambda s: (s.distance_to(position), s.id)).id
+    sites = _check_sites(sites)
+    return sites[_nearest(_position_of(camera), sites)[0]].id
 
 
 def site_probabilities(
@@ -150,12 +159,11 @@ def site_probabilities(
     the full remaining mass, split equally if several tie at 0.
     """
     sites = _check_sites(sites)
-    position = _position_of(camera)
-    inside = min(sites, key=lambda s: (s.distance_to(position), s.id))
-    others = [s for s in sites if s.id != inside.id]
+    inside, dists = _nearest(_position_of(camera), sites)
+    inside_distance = dists.pop(inside)
+    others = sites[:inside] + sites[inside + 1 :]
     ranked: list[SiteEntry] = []
     if others:
-        dists = [s.distance_to(position) for s in others]
         zero = [d < 1e-300 for d in dists]
         if any(zero):
             n_zero = sum(zero)
@@ -172,8 +180,8 @@ def site_probabilities(
                 SiteEntry(site_id=site.id, distance=dist, probability=prob, cumulative=cumulative)
             )
     return SiteProbabilities(
-        containing_site=inside.id,
-        containing_distance=inside.distance_to(position),
+        containing_site=sites[inside].id,
+        containing_distance=inside_distance,
         entries=tuple(ranked),
     )
 

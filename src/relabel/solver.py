@@ -139,10 +139,10 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     """Columns of the canonical optimal assignment for a dense cost block,
     and their canonical total.
 
-    One solve gives an optimum; the certificate either shows that no
-    other assignment lies within the tie window (the common case, in
-    which that optimum is trivially canonical) or the lexicographically
-    smallest in-window column tuple is rebuilt row by row.
+    One solve gives an optimum, sigma; the certificate either shows that no
+    other assignment lies within the tie window (the common case, in which
+    sigma is trivially canonical) or the row scan, started from sigma,
+    rebuilds the lexicographically smallest in-window column tuple.
     """
     n, m = costs.shape
     if n > m:
@@ -156,71 +156,42 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     # another, so it goes to the scan, which judges the canonical sum
     if _unique_within_window(costs, rows, sigma, base, 2 * (window - best_value)):
         return sigma, best_value
-    cols = _scan_cols(costs, window)
+    cols = _scan_cols(costs, window, sigma)
     return cols, _gather_total(costs, cols)
 
 
-def _scan_cols(costs: np.ndarray, window: float) -> np.ndarray:
-    """Lexicographically smallest in-window column tuple, row by row.
+def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest in-window column tuple, row by row,
+    starting from `cols`, an assignment within the window.
 
-    The smallest available column whose best completion still reaches the
-    window is fixed for each row in turn.  One solve of the remaining rows
-    over every available column screens all columns at once; only a
-    screened column that solve uses pays for an exact confirming solve.
-    A completion is judged by the canonical total of its whole column
-    tuple, the same sum the window was taken from: `cells` holds the
-    fixed rows' cells, then the candidate's, then the rest's, in row order.
+    Row r keeps cols[r] unless a smaller available column has a completion
+    within the window; the first such completion becomes `cols`, so `cols`
+    never leaves the window.  One solve of the remaining rows over every
+    available column screens all smaller columns at once (the bound is
+    exact for a column that solve leaves unused, a lower bound otherwise);
+    a screened column pays for one solve of its completion, judged by the
+    canonical total of the whole column tuple.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
-    chosen = np.empty(n, dtype=np.intp)
-    cells = np.empty(n)
     prefix = 0.0
     for r in range(n):
         avail_idx = np.flatnonzero(available)
-        row = costs[r, avail_idx]
-        if r + 1 < n:
-            sub_all = costs[r + 1 :, avail_idx]
-            ri, ci = linear_sum_assignment(sub_all)
-            rest_cells = sub_all[ri, ci]
-            rest_value = float(rest_cells.sum())
-            user = np.full(avail_idx.size, -1, dtype=np.intp)
-            user[ci] = ri
-        else:
-            user = None
-            rest_cells = cells[n:]
-            rest_value = 0.0
-        # exact for columns the rest solution leaves unused (dropping an
-        # unused column cannot change the sub-problem optimum), a lower
-        # bound for the rest
-        bound = prefix + row + rest_value
-
-        def exact_completion(pos: int) -> float:
-            if user is None or user[pos] < 0:
-                cells[r + 1 :] = rest_cells
-            else:
-                sub = np.delete(sub_all, pos, axis=1)
-                si, sj = linear_sum_assignment(sub)
-                cells[r + 1 :] = sub[si, sj]
-            cells[r] = row[pos]
-            return float(cells.sum())
-
-        pick_pos = -1
-        for pos in np.flatnonzero(bound <= window):
-            if exact_completion(pos) <= window:
-                pick_pos = pos
-                break
-        if pick_pos < 0:
-            # rounding left no screened column with an in-window completion:
-            # take the cheapest exact completion over every allowed column
-            allowed = np.flatnonzero(np.isfinite(row))
-            pick_pos = allowed[int(np.argmin([exact_completion(pos) for pos in allowed]))]
-        pick = int(avail_idx[pick_pos])
-        chosen[r] = pick
-        available[pick] = False
-        cells[r] = costs[r, pick]
-        prefix += cells[r]
-    return chosen
+        smaller = np.flatnonzero(avail_idx < cols[r])
+        if smaller.size:
+            rest = costs[r + 1 :, avail_idx]
+            ri, ci = linear_sum_assignment(rest)
+            bound = prefix + costs[r, avail_idx[smaller]] + float(rest[ri, ci].sum())
+            for pos in smaller[bound <= window]:
+                rest_idx = np.delete(avail_idx, pos)
+                _, sj = linear_sum_assignment(costs[r + 1 :, rest_idx])
+                trial = np.concatenate([cols[:r], avail_idx[[pos]], rest_idx[sj]])
+                if _gather_total(costs, trial) <= window:
+                    cols = trial
+                    break
+        available[cols[r]] = False
+        prefix += costs[r, cols[r]]
+    return cols
 
 
 def _require_typed(detection_types: tuple[str | None, ...]) -> tuple[str, ...]:

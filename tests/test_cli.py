@@ -292,6 +292,17 @@ class TestSweep:
         with (out / "rows.csv").open(newline="") as fh:
             assert {(r["a"], r["b"]) for r in csv.DictReader(fh)} == cells
 
+    @pytest.mark.parametrize(
+        "flag, mode, other",
+        [("--threshold", "noise", "threshold"), ("--thresholds", "threshold", "noise")],
+    )
+    def test_threshold_flag_in_the_other_mode_exits_2(self, tmp_path, capsys, flag, mode, other):
+        out = tmp_path / "wrong-mode"
+        args = ("--archetype", "L1", "--mode", other, flag, "0.5", "--out-dir", str(out))
+        assert run("sweep", *args) == 2
+        assert f"{flag} applies to --mode {mode} only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scene_file_source(self, tmp_path, scene_file):
         out = tmp_path / "filesweep"
         assert (

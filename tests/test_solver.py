@@ -243,10 +243,10 @@ class TestNearWindow:
         )
         assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
-    def test_scan_falls_back_to_every_column(self):
-        # at row 1 the screen rounds the in-window column 3 out, and the
-        # only screened column, 0, completes 100 past the optimum: the
-        # scan must then take the cheapest completion over every column
+    def test_scan_keeps_an_in_window_column(self):
+        # row 0 moves to column 1 with the in-window completion (1, 3, 0, 4);
+        # at row 1 the only screened smaller column, 0, completes 100 past
+        # the optimum, so the scan keeps column 3, already in the window
         totals = np.array(
             [
                 [200.000000003, 0, 0, 200, 100.00000002],
@@ -314,8 +314,51 @@ class TestCertificates:
             fast, _ = _canonical_cols(costs)
             _, ci = linear_sum_assignment(costs)
             best = _gather_total(costs, ci)
-            slow = _scan_cols(costs, best + _tol(best))
+            slow = _scan_cols(costs, best + _tol(best), ci)
             assert np.array_equal(fast, slow)
+
+
+class TestRowScan:
+    """The row scan, started from an in-window assignment."""
+
+    def test_result_is_independent_of_the_start(self):
+        # started from every in-window assignment, the scan must reach the
+        # oracle's columns
+        rng = np.random.default_rng(43)
+        starts = 0
+        for trial in range(600):
+            n = int(rng.integers(1, 7))
+            m = n + int(rng.integers(0, 3))
+            costs = rng.integers(0, 4, size=(n, m)).astype(float)
+            if trial % 3 == 0:
+                costs = costs[:, rng.integers(0, m, size=m)]
+            matrix = matrix_from(costs)
+            oracle = brute_force_solve(AssignmentProblem(matrix))
+            expected = [matrix.candidates.index(label) for _, label in oracle.pairs]
+            perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
+            totals = costs[np.arange(n)[None, :], perms].sum(axis=1)
+            best = float(totals.min())
+            window = best + _tol(best)
+            for start in perms[totals <= window]:
+                assert solver._scan_cols(costs, window, start).tolist() == expected
+                starts += 1
+        assert starts >= 3000
+
+    def test_smallest_start_makes_no_scan_solve(self, monkeypatch):
+        # every assignment of an all-zero table ties, and the first solve
+        # already returns the smallest column tuple: no row has a smaller
+        # column to try, so the only solves are the LSA and the
+        # certificate's re-solve
+        calls = []
+
+        def counting(costs):
+            calls.append(costs.shape)
+            return linear_sum_assignment(costs)
+
+        monkeypatch.setattr(solver, "linear_sum_assignment", counting)
+        result = solve(AssignmentProblem(matrix_from(np.zeros((4, 6)))))
+        assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
+        assert len(calls) == 2
 
 
 class TestCategorySeparation:
