@@ -109,6 +109,14 @@ def _gather_total(costs: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sum(costs[np.arange(n), cols]))
 
 
+def _completion(block: np.ndarray) -> np.ndarray:
+    """Columns of an optimal assignment of the block's rows in row order;
+    none, without a solve, when the block has no rows."""
+    if len(block) == 0:
+        return np.empty(0, dtype=np.intp)
+    return linear_sum_assignment(block)[1]
+
+
 def _unique_within_window(
     costs: np.ndarray, rows: np.ndarray, sigma: np.ndarray, base: np.ndarray, budget: float
 ) -> bool:
@@ -170,7 +178,8 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
     available column screens all smaller columns at once (the bound is
     exact for a column that solve leaves unused, a lower bound otherwise);
     a screened column pays for one solve of its completion, judged by the
-    canonical total of the whole column tuple.
+    canonical total of the whole column tuple.  The last row has no rows
+    left to solve.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
@@ -180,12 +189,11 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
         smaller = np.flatnonzero(avail_idx < cols[r])
         if smaller.size:
             rest = costs[r + 1 :, avail_idx]
-            ri, ci = linear_sum_assignment(rest)
-            bound = prefix + costs[r, avail_idx[smaller]] + float(rest[ri, ci].sum())
+            bound = prefix + costs[r, avail_idx[smaller]] + _gather_total(rest, _completion(rest))
             for pos in smaller[bound <= window]:
                 rest_idx = np.delete(avail_idx, pos)
-                _, sj = linear_sum_assignment(costs[r + 1 :, rest_idx])
-                trial = np.concatenate([cols[:r], avail_idx[[pos]], rest_idx[sj]])
+                tail = rest_idx[_completion(costs[r + 1 :, rest_idx])]
+                trial = np.concatenate([cols[:r], avail_idx[[pos]], tail])
                 if _gather_total(costs, trial) <= window:
                     cols = trial
                     break

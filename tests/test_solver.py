@@ -360,6 +360,20 @@ class TestRowScan:
         assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
         assert len(calls) == 2
 
+    def test_last_row_makes_no_solve(self, monkeypatch):
+        # the last row has no rows after it: its smaller column is judged
+        # by its own cell alone, without a solve of an empty block
+        calls = []
+
+        def counting(costs):
+            calls.append(costs.shape)
+            return linear_sum_assignment(costs)
+
+        monkeypatch.setattr(solver, "linear_sum_assignment", counting)
+        costs = np.array([[0.0, 0.0, 5.0]])
+        assert solver._scan_cols(costs, _tol(0.0), np.array([1])).tolist() == [0]
+        assert calls == []
+
 
 class TestCategorySeparation:
     def test_types_respected(self):
