@@ -15,7 +15,9 @@ distinct boxes on either side.  Boxes are told apart by value, never by
 object type, and every cell gets the same float operations as a 1 x 1
 build of its own pair.  The build is a candidate half (`candidate_side`),
 which a fixed candidate pool needs only once, and a detection half
-(`score_detections`).
+(`score_detections`).  The candidate half is rows of an object array view
+(`scene.ObjectArrays`): of a layout's view for a stop's candidates, of a
+view of the tuple itself for `build_cost_matrix`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import BoxDims, Detection, ObjectInstance, PlanarPose, SceneBounds, SceneValidationError
+from .scene import (
+    BoxDims,
+    Detection,
+    ObjectArrays,
+    ObjectInstance,
+    PlanarPose,
+    SceneBounds,
+    SceneValidationError,
+    distinct_boxes,
+    object_arrays,
+    pose_planes,
+)
 
 _DIM_PERMUTATIONS = tuple(itertools.permutations(range(3)))
 _PERM_INDEX = np.array(_DIM_PERMUTATIONS, dtype=np.intp)
@@ -163,25 +176,6 @@ class CostMatrix:
         )
 
 
-def _pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np.ndarray:
-    """x, z and yaw of each item's pose as three contiguous rows."""
-    poses = [item.pose for item in items]
-    return np.array(
-        [[p.x for p in poses], [p.z for p in poses], [p.yaw for p in poses]], dtype=float
-    ).reshape(3, len(poses))
-
-
-def _distinct_boxes(
-    items: tuple[Detection, ...] | tuple[ObjectInstance, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each distinct box among `items` once, as a (k, 3) array, and the row
-    of every item's box in it.  Boxes are told apart by value, not by type."""
-    rows: dict[BoxDims, int] = {}
-    index = [rows.setdefault(item.dims, len(rows)) for item in items]
-    boxes = np.array([(b.w, b.h, b.d) for b in rows], dtype=float).reshape(len(rows), 3)
-    return boxes, np.array(index, dtype=np.intp)
-
-
 def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
     """c_d for every (detection box, candidate box) pair, scored in chunks of
     detection boxes of at most _FIT_CHUNK_PAIRS pairs (one detection box at
@@ -199,9 +193,11 @@ def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, slots=True, eq=False)
 class CandidateSide:
     """The candidate half of a cost build, which depends on the candidates
-    alone: their labels and types, the x, z and yaw planes of their poses,
-    and their distinct boxes with the row of each candidate's box."""
+    alone: the candidates with their labels and types, the x, z and yaw
+    planes of their poses, and their distinct boxes with the row of each
+    candidate's box."""
 
+    candidates: tuple[ObjectInstance, ...]
     labels: tuple[str, ...]
     types: tuple[str, ...]
     x: np.ndarray
@@ -211,18 +207,20 @@ class CandidateSide:
     box_col: np.ndarray
 
 
-def candidate_side(candidates: tuple[ObjectInstance, ...]) -> CandidateSide:
-    """The candidate half of `build_cost_matrix`; duplicate labels are rejected."""
-    labels = tuple(c.label for c in candidates)
+def candidate_side(view: ObjectArrays, rows: np.ndarray) -> CandidateSide:
+    """The candidate half of `build_cost_matrix` for rows `rows` of `view`,
+    in that order: only the boxes those rows use are scored.  Duplicate
+    labels are rejected."""
+    candidates = tuple([view.objects[i] for i in rows.tolist()])
+    labels = tuple([c.label for c in candidates])
     if len(set(labels)) != len(labels):
         raise SceneValidationError("candidate labels must be unique")
-    planes = _pose_planes(candidates)
-    boxes, box_col = _distinct_boxes(candidates)
-    for array in (planes, boxes, box_col):
+    used, box_col = np.unique(view.box_row[rows], return_inverse=True)
+    arrays = (view.x[rows], view.z[rows], view.yaw[rows], view.boxes[used], box_col)
+    for array in arrays:
         array.flags.writeable = False
-    x, z, yaw = planes
-    types = tuple(c.object_type for c in candidates)
-    return CandidateSide(labels, types, x, z, yaw, boxes, box_col)
+    types = tuple([c.object_type for c in candidates])
+    return CandidateSide(candidates, labels, types, *arrays)
 
 
 def score_detections(
@@ -233,12 +231,12 @@ def score_detections(
 ) -> CostMatrix:
     """The detection half of `build_cost_matrix`: score every detection
     against a candidate half built once."""
-    det_x, det_z, det_yaw = _pose_planes(detections)
+    det_x, det_z, det_yaw = pose_planes(detections)
     c_t = np.hypot(det_x[:, None] - side.x, det_z[:, None] - side.z) / bounds.diagonal()
     c_r = np.sin(np.abs(det_yaw[:, None] - side.yaw) * (np.pi / 360.0))
 
     # identical objects share one box, so c_d is scored per distinct pair
-    det_boxes, det_row = _distinct_boxes(detections)
+    det_boxes, det_row = distinct_boxes(detections)
     c_d = _box_fit(det_boxes, side.boxes)[det_row[:, None], side.box_col]
 
     total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
@@ -264,4 +262,5 @@ def build_cost_matrix(
     Candidate label order is preserved as given; duplicate labels are
     rejected.  Works for empty detection or candidate sets (0-sized axes).
     """
-    return score_detections(detections, candidate_side(candidates), bounds, weights)
+    side = candidate_side(object_arrays(candidates), np.arange(len(candidates)))
+    return score_detections(detections, side, bounds, weights)

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .scene import CameraState, ObjectInstance, SceneLayout
 
@@ -28,6 +30,7 @@ __all__ = [
     "containing_site",
     "site_probabilities",
     "prune_sites",
+    "candidate_rows",
     "candidate_labels",
 ]
 
@@ -205,28 +208,47 @@ def prune_sites(probabilities: SiteProbabilities, threshold: float) -> set[str]:
     return kept
 
 
-def _site_membership(layout: SceneLayout) -> tuple[tuple[ObjectInstance, ...], tuple[str, ...]]:
-    """The layout's objects in label order and each one's containing site,
-    computed on first use and kept on the layout."""
+def _site_membership(layout: SceneLayout) -> np.ndarray:
+    """The index into `layout.sites` of the containing site of every object
+    of the layout's array view, computed on first use and kept on the
+    layout; the view is built on the way."""
     membership = layout.site_membership
     if membership is None:
-        by_label = tuple(sorted(layout.objects, key=lambda o: o.label))
-        cells = tuple(containing_site((o.pose.x, o.pose.z), layout.sites) for o in by_label)
-        membership = (by_label, cells)
+        from .scene import layout_arrays  # scene imports this module
+
+        index = {s.id: i for i, s in enumerate(layout.sites)}
+        membership = np.array(
+            [
+                index[containing_site((o.pose.x, o.pose.z), layout.sites)]
+                for o in layout_arrays(layout).objects
+            ],
+            dtype=np.intp,
+        )
+        membership.flags.writeable = False
         object.__setattr__(layout, "site_membership", membership)
     return membership
 
 
-def candidate_labels(layout: SceneLayout, selected_sites: set[str]) -> tuple[ObjectInstance, ...]:
-    """Initial-layout objects whose position falls in a selected site's cell.
+def candidate_rows(layout: SceneLayout, selected_sites: set[str]) -> np.ndarray:
+    """Rows of the layout's array view (`scene.layout_arrays`, label order)
+    whose object falls in a selected site's cell.
 
     Membership always uses the layout's full site set, so pruning never
-    reassigns an object to a different cell.  Result is sorted by label.
+    reassigns an object to a different cell.
     """
     if not selected_sites:
         raise PartitionError("selected site set must not be empty")
-    unknown = set(selected_sites) - {s.id for s in layout.sites}
+    ids = [s.id for s in layout.sites]
+    unknown = set(selected_sites).difference(ids)
     if unknown:
         raise PartitionError(f"unknown site ids: {sorted(unknown)}")
-    by_label, cells = _site_membership(layout)
-    return tuple(o for o, cell in zip(by_label, cells) if cell in selected_sites)
+    selected = np.array([site_id in selected_sites for site_id in ids])
+    return np.flatnonzero(selected[_site_membership(layout)])
+
+
+def candidate_labels(layout: SceneLayout, selected_sites: set[str]) -> tuple[ObjectInstance, ...]:
+    """Initial-layout objects whose position falls in a selected site's cell,
+    sorted by label (see `candidate_rows`)."""
+    rows = candidate_rows(layout, selected_sites)
+    objects = layout.arrays.objects  # built by the membership
+    return tuple(objects[i] for i in rows.tolist())

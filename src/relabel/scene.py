@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .partition import VoronoiSite
 
 
@@ -110,21 +112,67 @@ class SceneBounds:
         return 0.0 <= x <= self.width and 0.0 <= z <= self.depth
 
 
+def pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np.ndarray:
+    """x, z and yaw of each item's pose as three contiguous rows."""
+    poses = [item.pose for item in items]
+    return np.array(
+        [[p.x for p in poses], [p.z for p in poses], [p.yaw for p in poses]], dtype=float
+    ).reshape(3, len(poses))
+
+
+def distinct_boxes(
+    items: tuple[Detection, ...] | tuple[ObjectInstance, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each distinct box among `items` once, as a (k, 3) array, and the row
+    of every item's box in it.  Boxes are told apart by value, not by type."""
+    rows: dict[BoxDims, int] = {}
+    index = [rows.setdefault(item.dims, len(rows)) for item in items]
+    boxes = np.array([(b.w, b.h, b.d) for b in rows], dtype=float).reshape(len(rows), 3)
+    return boxes, np.array(index, dtype=np.intp)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ObjectArrays:
+    """Objects in a fixed order as read-only arrays: the x, z and yaw planes
+    of their poses, and their distinct boxes with the row of each object's
+    box in them."""
+
+    objects: tuple[ObjectInstance, ...]
+    x: np.ndarray
+    z: np.ndarray
+    yaw: np.ndarray
+    boxes: np.ndarray
+    box_row: np.ndarray
+
+
+def object_arrays(objects: tuple[ObjectInstance, ...]) -> ObjectArrays:
+    """The array view of `objects`, in the order given."""
+    planes = pose_planes(objects)
+    boxes, box_row = distinct_boxes(objects)
+    for array in (planes, boxes, box_row):
+        array.flags.writeable = False
+    x, z, yaw = planes
+    return ObjectArrays(tuple(objects), x, z, yaw, boxes, box_row)
+
+
 @dataclass(frozen=True, slots=True)
 class SceneLayout:
     """The ground-truth scene: bounds, Voronoi sites, and labeled objects.
 
-    `site_membership` is filled by `partition.candidate_labels` the first
-    time the layout is gathered from: the objects in label order and the id
-    of each one's containing site.  It takes no part in equality, hashing or
-    repr, and a layout built by `dataclasses.replace` starts without it.
+    Two caches are filled on first use: `arrays`, the array view of the
+    objects in label order (`layout_arrays`), and `site_membership`, the
+    index into `sites` of each of those objects' containing site (filled
+    by `partition.candidate_rows`).  Neither takes part in equality,
+    hashing or repr, and a layout built by `dataclasses.replace` starts
+    without them.
     """
 
     name: str
     bounds: SceneBounds
     sites: tuple[VoronoiSite, ...]
     objects: tuple[ObjectInstance, ...]
-    site_membership: tuple[tuple[ObjectInstance, ...], tuple[str, ...]] | None = field(
+    arrays: ObjectArrays | None = field(default=None, init=False, repr=False, compare=False)
+    site_membership: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -157,6 +205,16 @@ class SceneLayout:
             if obj.label == label:
                 return obj
         raise KeyError(label)
+
+
+def layout_arrays(layout: SceneLayout) -> ObjectArrays:
+    """The layout's objects in label order as arrays, built on first use and
+    kept on the layout."""
+    view = layout.arrays
+    if view is None:
+        view = object_arrays(tuple(sorted(layout.objects, key=lambda o: o.label)))
+        object.__setattr__(layout, "arrays", view)
+    return view
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,9 +287,26 @@ def is_visible(camera: CameraState, pose: PlanarPose) -> bool:
 
 
 def visible_objects(layout: SceneLayout, camera: CameraState) -> tuple[ObjectInstance, ...]:
-    """Objects of `layout` visible from `camera`, sorted by label."""
-    seen = [o for o in layout.objects if is_visible(camera, o.pose)]
-    return tuple(sorted(seen, key=lambda o: o.label))
+    """Objects of `layout` visible from `camera`, sorted by label.
+
+    One array pass over the layout's planes drops the objects that are out
+    of range, or out of the FOV wedge (`along < dist * cos(fov / 2)`), by
+    more than a slack of 1e-9 * (dist + 1), far above the rounding of
+    either route; `is_visible` decides every object that is left.
+    """
+    view = layout_arrays(layout)
+    cam_x, cam_z = camera.position
+    dx = view.x - cam_x
+    dz = view.z - cam_z
+    dist = np.hypot(dx, dz)
+    slack = 1e-9 * (dist + 1.0)
+    yaw = math.radians(camera.yaw)
+    along = dx * math.sin(yaw) + dz * math.cos(yaw)
+    dropped = (dist - slack > camera.range) | (
+        along < dist * math.cos(math.radians(camera.fov / 2.0)) - slack
+    )
+    left = [view.objects[i] for i in np.flatnonzero(~dropped).tolist()]
+    return tuple(o for o in left if is_visible(camera, o.pose))
 
 
 def synthesize_observation(layout: SceneLayout, camera: CameraState) -> Observation:

@@ -36,13 +36,14 @@ from .costs import (
     default_weights,
     score_detections,
 )
-from .partition import SiteProbabilities, candidate_labels, prune_sites, site_probabilities
+from .partition import SiteProbabilities, candidate_rows, prune_sites, site_probabilities
 from .scene import (
     CameraState,
     ObjectInstance,
     Observation,
     SceneLayout,
     SceneValidationError,
+    layout_arrays,
 )
 
 _REL_TOL = 1e-9
@@ -296,15 +297,18 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
 
 def _is_feasible(
     detection_types: tuple[str | None, ...],
-    candidates: tuple[ObjectInstance, ...],
+    candidate_types: tuple[str, ...],
     category_separated: bool,
 ) -> bool:
-    if len(detection_types) > len(candidates):
+    if len(detection_types) > len(candidate_types):
         return False
-    return (
-        not category_separated
-        or _type_shortfall(detection_types, tuple(c.object_type for c in candidates)) is None
-    )
+    return not category_separated or _type_shortfall(detection_types, candidate_types) is None
+
+
+def _gather(layout: SceneLayout, sites: set[str]) -> CandidateSide:
+    """The candidate half of the cost build for the objects in the sites'
+    cells, as rows of the layout's array view."""
+    return candidate_side(layout_arrays(layout), candidate_rows(layout, sites))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -331,8 +335,11 @@ class StopPlan:
     probabilities: SiteProbabilities
     kept_site_ids: frozenset[str]
     effective_threshold: float
-    candidates: tuple[ObjectInstance, ...]
     side: CandidateSide
+
+    @property
+    def candidates(self) -> tuple[ObjectInstance, ...]:
+        return self.side.candidates
 
     def prepare(
         self,
@@ -357,27 +364,25 @@ class StopPlan:
         detection_types = tuple(d.object_type for d in detections)
         if category_separated:
             _require_typed(detection_types)
-        kept, effective = self.kept_site_ids, self.effective_threshold
-        candidates, side = self.candidates, self.side
+        kept, effective, side = self.kept_site_ids, self.effective_threshold, self.side
         entries = self.probabilities.entries
         start = depth = len(kept) - 1  # how many ranked entries are included
         readmitted = set(kept)
         while (
-            not _is_feasible(detection_types, candidates, category_separated)
+            not _is_feasible(detection_types, side.types, category_separated)
             and depth < len(entries)
         ):
             entry = entries[depth]
             depth += 1
             readmitted.add(entry.site_id)
             effective = entry.cumulative
-            candidates = candidate_labels(layout, readmitted)
+            side = _gather(layout, readmitted)
         if depth > start:
             kept = frozenset(readmitted)
-            side = candidate_side(candidates)
         matrix = score_detections(detections, side, layout.bounds, weights)
         return PreparedProblem(
             problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
-            candidates=candidates,
+            candidates=side.candidates,
             kept_site_ids=kept,
             requested_threshold=self.threshold,
             effective_threshold=effective,
@@ -390,7 +395,6 @@ def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) 
     probabilities = site_probabilities(camera, layout.sites)
     kept = prune_sites(probabilities, threshold)
     depth = len(kept) - 1  # how many ranked entries are included
-    candidates = candidate_labels(layout, kept)
     return StopPlan(
         layout=layout,
         camera=camera,
@@ -398,8 +402,7 @@ def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) 
         probabilities=probabilities,
         kept_site_ids=frozenset(kept),
         effective_threshold=probabilities.entries[depth - 1].cumulative if depth else 0.0,
-        candidates=candidates,
-        side=candidate_side(candidates),
+        side=_gather(layout, kept),
     )
 
 

@@ -14,6 +14,12 @@ from relabel.scene import (
     SceneBounds,
     SceneLayout,
 )
+from relabel.scenegen import CLUSTERED, SceneArchetype
+
+# the large clustered scene of the benchmark's scaled-scene workload
+S2000 = SceneArchetype(
+    "S2000", sites=50, object_types=5, objects=2000, area=2000.0, placement=CLUSTERED
+)
 
 
 def make_object(

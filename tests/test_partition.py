@@ -20,10 +20,10 @@ from relabel.partition import (
     site_probabilities,
     validate_threshold,
 )
-from relabel.scene import CameraState, SceneBounds, SceneLayout, scene_to_dict
-from relabel.scenegen import ARCHETYPES, CLUSTERED, SceneArchetype, generate_scene
+from relabel.scene import CameraState, SceneBounds, SceneLayout, scene_to_dict, visible_objects
+from relabel.scenegen import ARCHETYPES, generate_scene
 
-from .conftest import make_object
+from .conftest import S2000, make_object
 
 
 def sites_at(*centers: tuple[float, float]) -> tuple[VoronoiSite, ...]:
@@ -208,10 +208,7 @@ class TestMembershipMemo:
         assert_gathers_like_scalar(generate_scene(archetype, seed))
 
     def test_large_scene_gathers_like_scalar(self):
-        large = SceneArchetype(
-            "S2000", sites=50, object_types=5, objects=2000, area=2000.0, placement=CLUSTERED
-        )
-        layout = generate_scene(large, 0)
+        layout = generate_scene(S2000, 0)
         all_ids = {s.id for s in layout.sites}
         # the scalar cells once, then every selection filters by them
         cells = {o.label: containing_site((o.pose.x, o.pose.z), layout.sites) for o in layout.objects}
@@ -274,14 +271,26 @@ class TestMembershipMemo:
         if len(sites) == 2:
             assert on_line_labels <= {o.label for o in candidate_labels(layout, {"A"})}
 
-    def test_gathering_leaves_value_semantics_unchanged(self):
+    def test_gathering_leaves_value_semantics_unchanged(self, wide_camera):
         layout = generate_scene("H1", 0)
         before = (hash(layout), repr(layout), scene_to_dict(layout))
         fresh = dataclasses.replace(layout)
+        visible_objects(layout, wide_camera)
+        assert layout.arrays is not None and layout.site_membership is None
         candidate_labels(layout, {layout.sites[0].id})
-        assert layout.site_membership is not None and fresh.site_membership is None
-        assert layout == fresh
+        assert layout.site_membership is not None
+        assert fresh.arrays is None and fresh.site_membership is None
+        assert dataclasses.replace(layout).arrays is None
+        assert layout == fresh and hash(layout) == hash(fresh)
         assert (hash(layout), repr(layout), scene_to_dict(layout)) == before
+
+    def test_layout_arrays_read_only(self):
+        layout = generate_scene("H1", 0)
+        candidate_labels(layout, {layout.sites[0].id})
+        view = layout.arrays
+        assert [o.label for o in view.objects] == sorted(o.label for o in layout.objects)
+        for array in (view.x, view.z, view.yaw, view.boxes, view.box_row, layout.site_membership):
+            assert not array.flags.writeable
 
     def test_replaced_layout_gathers_by_its_own_objects(self, two_site_layout):
         assert [o.label for o in candidate_labels(two_site_layout, {"S01"})] == [

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relabel.partition import VoronoiSite
+from relabel.path import camera_stops
 from relabel.scene import (
     BoxDims,
     CameraState,
@@ -31,8 +32,9 @@ from relabel.scene import (
     synthesize_observation,
     visible_objects,
 )
+from relabel.scenegen import ARCHETYPES, generate_scene, patrol_route
 
-from .conftest import make_detection, make_object
+from .conftest import S2000, make_detection, make_object
 
 
 class TestPose:
@@ -146,6 +148,73 @@ class TestVisibility:
         assert len(obs.detections) == 4
         assert all(not hasattr(d, "label") for d in obs.detections)
         assert obs.detections[0].object_type == "chair"
+
+
+def scalar_visible(layout, camera):
+    """The scalar rule alone: every object through `is_visible`, label-sorted."""
+    seen = [o for o in layout.objects if is_visible(camera, o.pose)]
+    return tuple(sorted(seen, key=lambda o: o.label))
+
+
+def edge_layout(camera):
+    """Objects on the range circle and on both FOV edges, one ulp either
+    side of each in x and z, and 0, 1e-13 and 1e-12 m from the camera."""
+    cx, cz = camera.position
+    half = camera.fov / 2.0
+    bearings = (camera.yaw - half, camera.yaw + half, camera.yaw, camera.yaw + 180.0)
+    radii = (camera.range, camera.range / 2.0, 1e-12, 1e-13)
+    spots = [(cx, cz)]
+    for bearing in bearings:
+        t = math.radians(bearing)
+        for radius in radii:
+            x, z = cx + radius * math.sin(t), cz + radius * math.cos(t)
+            spots += [
+                (math.nextafter(x, x + side_x), math.nextafter(z, z + side_z))
+                for side_x in (-1.0, 0.0, 1.0)
+                for side_z in (-1.0, 0.0, 1.0)
+            ]
+    objects = [make_object(f"o-{k:04d}", x, z) for k, (x, z) in enumerate(reversed(spots))]
+    size = 2.0 * max(cx, cz)
+    return SceneLayout(
+        name="edges",
+        bounds=SceneBounds(width=size, depth=size),
+        sites=(VoronoiSite(id="S01", center=(cx, cz)),),
+        objects=tuple(objects),
+    )
+
+
+class TestVisibleObjectsMatchScalar:
+    """`visible_objects` prefilters with arrays; it must return exactly the
+    label-sorted objects that `is_visible` accepts."""
+
+    @pytest.mark.parametrize("fov", (1.0, 60.0, 179.0, 180.0, 181.0, 359.0))
+    @pytest.mark.parametrize("yaw", (0.0, 0.25, 359.75, math.nextafter(360.0, 0.0), 123.0))
+    @pytest.mark.parametrize("origin", (50.0, 1e6 - 0.3))
+    def test_edges(self, fov, yaw, origin):
+        camera = CameraState(position=(origin, origin + 0.7), yaw=yaw, fov=fov, range=7.0)
+        layout = edge_layout(camera)
+        expected = scalar_visible(layout, camera)
+        assert visible_objects(layout, camera) == expected
+        # the cases sit on the decision's edges: both outcomes occur
+        assert 0 < len(expected) < len(layout.objects)
+
+    def test_empty_layout(self, bounds, wide_camera):
+        empty = SceneLayout(
+            name="empty", bounds=bounds, sites=(VoronoiSite(id="S01", center=(1.0, 1.0)),),
+            objects=(),
+        )
+        assert visible_objects(empty, wide_camera) == ()
+
+    @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
+    def test_patrol_stops(self, archetype):
+        layout = generate_scene(archetype, 0)
+        for camera in camera_stops(patrol_route(layout)):
+            assert visible_objects(layout, camera) == scalar_visible(layout, camera)
+
+    def test_large_scene_stops(self):
+        layout = generate_scene(S2000, 0)
+        for camera in camera_stops(patrol_route(layout))[::7]:
+            assert visible_objects(layout, camera) == scalar_visible(layout, camera)
 
 
 class TestSerialization:

@@ -38,7 +38,7 @@ from relabel.solver import (
     solve,
 )
 
-from .conftest import make_detection, make_object
+from .conftest import S2000, make_detection, make_object
 
 
 def matrix_from(
@@ -619,7 +619,8 @@ class TestStopPlan:
         whole = build_cost_matrix(
             observation.detections, fresh.candidates, layout.bounds, default_weights(layout.bounds)
         )
-        assert reused.problem.matrix.total.tobytes() == whole.total.tobytes()
+        for name in self.COSTS:
+            assert getattr(reused.problem.matrix, name).tobytes() == getattr(whole, name).tobytes()
 
     @pytest.mark.parametrize("category_separated", (False, True))
     @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
@@ -643,6 +644,21 @@ class TestStopPlan:
                     self.assert_same(reused, fresh, observation, layout)
                     # the next cell starts from the plan as it was built
                     assert plan_snapshot(plan) == before
+
+    @pytest.mark.parametrize("category_separated", (False, True))
+    def test_large_layout_matches_one_shot_build(self, category_separated):
+        layout = generate_scene(S2000, 0)
+        perturbed = perturb_layout(layout, NoiseModel(t_sd=0.3, r_sd=15.0), derive_seed(1, 0))
+        readmitted = 0
+        for threshold in (0.0, 0.25, 1.0):
+            for camera in camera_stops(patrol_route(layout))[::50]:
+                plan = plan_stop(layout, camera, threshold)
+                observation = synthesize_observation(perturbed, camera)
+                reused = plan.prepare(observation, None, category_separated)
+                fresh = prepare_problem(layout, observation, threshold, None, category_separated)
+                self.assert_same(reused, fresh, observation, layout)
+                readmitted += reused.kept_site_ids > plan.kept_site_ids
+        assert readmitted
 
     def test_readmitting_cell_leaves_plan_unchanged(self, clustered_layout):
         # the containing cell holds three candidates: four detections make
