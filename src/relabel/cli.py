@@ -276,15 +276,30 @@ _SWEEP_MODES = {
 }
 
 
-def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
+def _sweep_usage_error(args: argparse.Namespace) -> str | None:
+    """Why the sweep flags contradict each other, or None: a flag the run
+    would ignore is an error, not a silent no-op."""
     # each threshold flag applies to one mode; the other would ignore it
     for flag, value, mode in (
         ("--threshold", args.threshold, "noise"),
         ("--thresholds", args.thresholds, "threshold"),
     ):
         if value is not None and args.mode != mode:
-            print(f"error: {flag} applies to --mode {mode} only", file=sys.stderr)
-            return EXIT_USAGE
+            return f"{flag} applies to --mode {mode} only"
+    if args.noise is not None:
+        if len(args.noise) > 2:
+            return f"--noise takes A or A,B, got {len(args.noise)} values"
+        for flag, value in (("--t-list", args.t_list), ("--r-list", args.r_list)):
+            if value is not None:
+                return f"--noise cannot be combined with {flag}"
+    return None
+
+
+def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
+    usage_error = _sweep_usage_error(args)
+    if usage_error is not None:
+        print(f"error: {usage_error}", file=sys.stderr)
+        return EXIT_USAGE
     layout = _sweep_layout(args)
     route = _sweep_route(args, layout)
     out_dir = _out_dir(args.out_dir)

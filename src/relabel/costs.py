@@ -9,15 +9,15 @@ ratio).  The three terms combine as
 
 so a box mismatch scales up whatever motion cost the pair already carries.
 
-`build_cost_matrix` scores c_d once per distinct pair of boxes, not once
-per cell: identical objects share one box, so a stop full of them has few
-distinct boxes on either side.  Boxes are told apart by value, never by
-object type, and every cell gets the same float operations as a 1 x 1
-build of its own pair.  The build is a candidate half (`candidate_side`),
-which a fixed candidate pool needs only once, and a detection half
-(`score_detections`).  The candidate half is rows of an object array view
-(`scene.ObjectArrays`): of a layout's view for a stop's candidates, of a
-view of the tuple itself for `build_cost_matrix`.
+Both sides of a build are array views (`scene.ObjectArrays`), and one
+kernel, `score_arrays`, scores a detection view against a candidate view.
+It scores c_d once per distinct pair of boxes, not once per cell: identical
+objects share one box, so a stop full of them has few distinct boxes on
+either side.  Boxes are told apart by value, never by object type, and
+every cell gets the same float operations as a 1 x 1 build of its own pair.
+A stop's candidate pool is rows of its layout's view (`ObjectArrays.take`),
+taken once per plan; `build_cost_matrix` scores views of the two tuples it
+is given.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .scene import (
     PlanarPose,
     SceneBounds,
     SceneValidationError,
-    distinct_boxes,
     object_arrays,
-    pose_planes,
 )
 
 _DIM_PERMUTATIONS = tuple(itertools.permutations(range(3)))
@@ -190,60 +188,26 @@ def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
     return fit
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CandidateSide:
-    """The candidate half of a cost build, which depends on the candidates
-    alone: the candidates with their labels and types, the x, z and yaw
-    planes of their poses, and their distinct boxes with the row of each
-    candidate's box."""
-
-    candidates: tuple[ObjectInstance, ...]
-    labels: tuple[str, ...]
-    types: tuple[str, ...]
-    x: np.ndarray
-    z: np.ndarray
-    yaw: np.ndarray
-    boxes: np.ndarray
-    box_col: np.ndarray
-
-
-def candidate_side(view: ObjectArrays, rows: np.ndarray) -> CandidateSide:
-    """The candidate half of `build_cost_matrix` for rows `rows` of `view`,
-    in that order: only the boxes those rows use are scored.  Duplicate
-    labels are rejected."""
-    candidates = tuple([view.objects[i] for i in rows.tolist()])
-    labels = tuple([c.label for c in candidates])
-    if len(set(labels)) != len(labels):
-        raise SceneValidationError("candidate labels must be unique")
-    used, box_col = np.unique(view.box_row[rows], return_inverse=True)
-    arrays = (view.x[rows], view.z[rows], view.yaw[rows], view.boxes[used], box_col)
-    for array in arrays:
-        array.flags.writeable = False
-    types = tuple([c.object_type for c in candidates])
-    return CandidateSide(candidates, labels, types, *arrays)
-
-
-def score_detections(
-    detections: tuple[Detection, ...],
-    side: CandidateSide,
-    bounds: SceneBounds,
-    weights: CostWeights,
+def score_arrays(
+    detections: ObjectArrays, candidates: ObjectArrays, bounds: SceneBounds, weights: CostWeights
 ) -> CostMatrix:
-    """The detection half of `build_cost_matrix`: score every detection
-    against a candidate half built once."""
-    det_x, det_z, det_yaw = pose_planes(detections)
-    c_t = np.hypot(det_x[:, None] - side.x, det_z[:, None] - side.z) / bounds.diagonal()
-    c_r = np.sin(np.abs(det_yaw[:, None] - side.yaw) * (np.pi / 360.0))
+    """Score every detection of one array view against every candidate
+    object of another, in the order of each view; the candidates' labels
+    name the columns."""
+    c_t = np.hypot(
+        detections.x[:, None] - candidates.x, detections.z[:, None] - candidates.z
+    ) / bounds.diagonal()
+    c_r = np.sin(np.abs(detections.yaw[:, None] - candidates.yaw) * (np.pi / 360.0))
 
     # identical objects share one box, so c_d is scored per distinct pair
-    det_boxes, det_row = distinct_boxes(detections)
-    c_d = _box_fit(det_boxes, side.boxes)[det_row[:, None], side.box_col]
+    fit = _box_fit(detections.boxes, candidates.boxes)
+    c_d = fit[detections.box_row[:, None], candidates.box_row]
 
     total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
     return CostMatrix(
-        candidates=side.labels,
-        candidate_types=side.types,
-        detection_types=tuple(d.object_type for d in detections),
+        candidates=tuple([c.label for c in candidates.objects]),
+        candidate_types=candidates.types,
+        detection_types=detections.types,
         c_t=c_t,
         c_r=c_r,
         c_d=c_d,
@@ -262,5 +226,6 @@ def build_cost_matrix(
     Candidate label order is preserved as given; duplicate labels are
     rejected.  Works for empty detection or candidate sets (0-sized axes).
     """
-    side = candidate_side(object_arrays(candidates), np.arange(len(candidates)))
-    return score_detections(detections, side, bounds, weights)
+    if len({c.label for c in candidates}) != len(candidates):
+        raise SceneValidationError("candidate labels must be unique")
+    return score_arrays(object_arrays(detections), object_arrays(candidates), bounds, weights)

@@ -44,8 +44,17 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel()
 
 
+def _require_seed(seed: int) -> int:
+    value = int(seed)
+    if value < 0:
+        raise SceneValidationError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def make_rng(seed: int | np.random.SeedSequence | None = None) -> np.random.Generator:
     """The package's single randomness source: a PCG64 generator."""
+    if isinstance(seed, (int, np.integer)):
+        _require_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -55,7 +64,7 @@ def derive_seed(master_seed: int, *stream: int) -> np.random.SeedSequence:
     Gives each sweep cell its own stable stream, so adding or reordering
     cells never shifts another cell's draws.
     """
-    return np.random.SeedSequence([int(master_seed), *map(int, stream)])
+    return np.random.SeedSequence([_require_seed(master_seed), *map(_require_seed, stream)])
 
 
 def perturb_layout(

@@ -180,7 +180,7 @@ def camera_stops(
     whose length holds MAX_STOPS spacings or more is rejected before any
     stop is built.
     """
-    if frame_rate <= 0.0:
+    if _require_finite(frame_rate, "frame rate") <= 0.0:
         raise SceneValidationError(f"frame rate must be > 0, got {frame_rate}")
     lengths = segment_lengths(path)
     total = sum(lengths)

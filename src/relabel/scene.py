@@ -112,7 +112,7 @@ class SceneBounds:
         return 0.0 <= x <= self.width and 0.0 <= z <= self.depth
 
 
-def pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np.ndarray:
+def _pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np.ndarray:
     """x, z and yaw of each item's pose as three contiguous rows."""
     poses = [item.pose for item in items]
     return np.array(
@@ -120,7 +120,7 @@ def pose_planes(items: tuple[Detection, ...] | tuple[ObjectInstance, ...]) -> np
     ).reshape(3, len(poses))
 
 
-def distinct_boxes(
+def _distinct_boxes(
     items: tuple[Detection, ...] | tuple[ObjectInstance, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each distinct box among `items` once, as a (k, 3) array, and the row
@@ -133,26 +133,39 @@ def distinct_boxes(
 
 @dataclass(frozen=True, slots=True, eq=False)
 class ObjectArrays:
-    """Objects in a fixed order as read-only arrays: the x, z and yaw planes
-    of their poses, and their distinct boxes with the row of each object's
-    box in them."""
+    """Objects or detections in a fixed order, with their types, as
+    read-only arrays: the x, z and yaw planes of their poses, and their
+    distinct boxes with the row of each item's box in them."""
 
-    objects: tuple[ObjectInstance, ...]
+    objects: tuple[ObjectInstance, ...] | tuple[Detection, ...]
+    types: tuple[str | None, ...]
     x: np.ndarray
     z: np.ndarray
     yaw: np.ndarray
     boxes: np.ndarray
     box_row: np.ndarray
 
+    def take(self, rows: np.ndarray) -> ObjectArrays:
+        """Rows `rows` of this view, in that order, with only the boxes
+        those rows use."""
+        used, box_row = np.unique(self.box_row[rows], return_inverse=True)
+        arrays = (self.x[rows], self.z[rows], self.yaw[rows], self.boxes[used], box_row)
+        for array in arrays:
+            array.flags.writeable = False
+        picked = rows.tolist()
+        objects = tuple([self.objects[i] for i in picked])
+        return ObjectArrays(objects, tuple([self.types[i] for i in picked]), *arrays)
 
-def object_arrays(objects: tuple[ObjectInstance, ...]) -> ObjectArrays:
-    """The array view of `objects`, in the order given."""
-    planes = pose_planes(objects)
-    boxes, box_row = distinct_boxes(objects)
+
+def object_arrays(objects: tuple[ObjectInstance, ...] | tuple[Detection, ...]) -> ObjectArrays:
+    """The array view of `objects` (or of detections), in the order given."""
+    planes = _pose_planes(objects)
+    boxes, box_row = _distinct_boxes(objects)
     for array in (planes, boxes, box_row):
         array.flags.writeable = False
     x, z, yaw = planes
-    return ObjectArrays(tuple(objects), x, z, yaw, boxes, box_row)
+    types = tuple([o.object_type for o in objects])
+    return ObjectArrays(tuple(objects), types, x, z, yaw, boxes, box_row)
 
 
 @dataclass(frozen=True, slots=True)

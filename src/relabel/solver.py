@@ -28,22 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .costs import (
-    CandidateSide,
-    CostMatrix,
-    CostWeights,
-    candidate_side,
-    default_weights,
-    score_detections,
-)
+from .costs import CostMatrix, CostWeights, default_weights, score_arrays
 from .partition import SiteProbabilities, candidate_rows, prune_sites, site_probabilities
 from .scene import (
     CameraState,
+    ObjectArrays,
     ObjectInstance,
     Observation,
     SceneLayout,
     SceneValidationError,
     layout_arrays,
+    object_arrays,
 )
 
 _REL_TOL = 1e-9
@@ -305,10 +300,10 @@ def _is_feasible(
     return not category_separated or _type_shortfall(detection_types, candidate_types) is None
 
 
-def _gather(layout: SceneLayout, sites: set[str]) -> CandidateSide:
-    """The candidate half of the cost build for the objects in the sites'
-    cells, as rows of the layout's array view."""
-    return candidate_side(layout_arrays(layout), candidate_rows(layout, sites))
+def _gather(layout: SceneLayout, sites: set[str]) -> ObjectArrays:
+    """The candidate pool of the sites' cells: rows of the layout's array
+    view."""
+    return layout_arrays(layout).take(candidate_rows(layout, sites))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -326,7 +321,7 @@ class PreparedProblem:
 class StopPlan:
     """The part of a stop's preparation that depends only on the remembered
     layout, the camera and the threshold: the site ranking, the sites the
-    threshold keeps, and the candidate half of the cost build.  Build it
+    threshold keeps, and the candidate pool of the kept sites.  Build it
     once with `plan_stop` and `prepare` each observation from that stop."""
 
     layout: SceneLayout
@@ -335,11 +330,11 @@ class StopPlan:
     probabilities: SiteProbabilities
     kept_site_ids: frozenset[str]
     effective_threshold: float
-    side: CandidateSide
+    pool: ObjectArrays
 
     @property
     def candidates(self) -> tuple[ObjectInstance, ...]:
-        return self.side.candidates
+        return self.pool.objects
 
     def prepare(
         self,
@@ -360,29 +355,28 @@ class StopPlan:
         layout = self.layout
         if weights is None:
             weights = default_weights(layout.bounds)
-        detections = observation.detections
-        detection_types = tuple(d.object_type for d in detections)
+        detections = object_arrays(observation.detections)
         if category_separated:
-            _require_typed(detection_types)
-        kept, effective, side = self.kept_site_ids, self.effective_threshold, self.side
+            _require_typed(detections.types)
+        kept, effective, pool = self.kept_site_ids, self.effective_threshold, self.pool
         entries = self.probabilities.entries
         start = depth = len(kept) - 1  # how many ranked entries are included
         readmitted = set(kept)
         while (
-            not _is_feasible(detection_types, side.types, category_separated)
+            not _is_feasible(detections.types, pool.types, category_separated)
             and depth < len(entries)
         ):
             entry = entries[depth]
             depth += 1
             readmitted.add(entry.site_id)
             effective = entry.cumulative
-            side = _gather(layout, readmitted)
+            pool = _gather(layout, readmitted)
         if depth > start:
             kept = frozenset(readmitted)
-        matrix = score_detections(detections, side, layout.bounds, weights)
+        matrix = score_arrays(detections, pool, layout.bounds, weights)
         return PreparedProblem(
             problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
-            candidates=side.candidates,
+            candidates=pool.objects,
             kept_site_ids=kept,
             requested_threshold=self.threshold,
             effective_threshold=effective,
@@ -391,7 +385,7 @@ class StopPlan:
 
 def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) -> StopPlan:
     """Rank the layout's sites around the camera, prune them at the
-    threshold, and build the candidate half of the cost build."""
+    threshold, and take the candidate pool of the kept sites."""
     probabilities = site_probabilities(camera, layout.sites)
     kept = prune_sites(probabilities, threshold)
     depth = len(kept) - 1  # how many ranked entries are included
@@ -402,7 +396,7 @@ def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) 
         probabilities=probabilities,
         kept_site_ids=frozenset(kept),
         effective_threshold=probabilities.entries[depth - 1].cumulative if depth else 0.0,
-        side=_gather(layout, kept),
+        pool=_gather(layout, kept),
     )
 
 

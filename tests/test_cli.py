@@ -81,6 +81,32 @@ class TestExitCodes:
         assert "hint" in capsys.readouterr().err
 
 
+class TestSeedAndFrameRate:
+    """A negative seed or a non-finite frame rate exits 3, naming it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "H1", "--seed", "-1"),
+            ("sweep", "--archetype", "L1", "--seed", "-1"),
+            ("sweep", "--scene", "SCENE", "--seed", "-1", "--noise", "0.1"),
+        ],
+        ids=["generate", "sweep-archetype", "sweep-scene"],
+    )
+    def test_negative_seed_exits_3(self, tmp_path, scene_file, capsys, argv):
+        argv = [str(scene_file) if a == "SCENE" else a for a in argv]
+        assert run(*argv, "--out-dir", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_frame_rate_exits_3(self, tmp_path, capsys, value):
+        args = ("--archetype", "L1", "--noise", "0.1", "--frame-rate", value)
+        assert run("sweep", *args, "--out-dir", str(tmp_path / "out")) == 3
+        assert "frame rate must be finite" in capsys.readouterr().err
+
+
 class TestMalformedInput:
     """Malformed documents exit 3 with the path of the offending field."""
 
@@ -301,6 +327,23 @@ class TestSweep:
         args = ("--archetype", "L1", "--mode", other, flag, "0.5", "--out-dir", str(out))
         assert run("sweep", *args) == 2
         assert f"{flag} applies to --mode {mode} only" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--noise", "0.1", "--t-list", "0.2,0.3"), "--noise cannot be combined with --t-list"),
+            (("--noise", "0.1", "--r-list", "5"), "--noise cannot be combined with --r-list"),
+            (("--noise", "0.1,5,7"), "--noise takes A or A,B, got 3 values"),
+        ],
+        ids=["t-list", "r-list", "three-values"],
+    )
+    @pytest.mark.parametrize("mode", ["noise", "threshold"])
+    def test_noise_flag_that_would_be_ignored_exits_2(self, tmp_path, capsys, extra, message, mode):
+        out = tmp_path / "ignored"
+        args = ("--archetype", "L1", "--mode", mode, *extra, "--out-dir", str(out))
+        assert run("sweep", *args) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_scene_file_source(self, tmp_path, scene_file):

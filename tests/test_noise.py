@@ -113,6 +113,21 @@ class TestSeeds:
         assert a != b
         assert a == c
 
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda layout: make_rng(-1),
+            lambda layout: make_rng(np.int64(-1)),
+            lambda layout: derive_seed(-1),
+            lambda layout: derive_seed(-1, 0, 2),
+            lambda layout: perturb_layout(layout, NoiseModel(t_sd=0.5), -1),
+        ],
+        ids=["make_rng", "make_rng-numpy-int", "derive_seed", "derive_seed-stream", "perturb"],
+    )
+    def test_negative_seed_rejected_by_name(self, two_site_layout, draw):
+        with pytest.raises(SceneValidationError, match="seed must be >= 0, got -1"):
+            draw(two_site_layout)
+
     def test_accepts_generator_seed(self, two_site_layout):
         noise = NoiseModel(t_sd=0.5)
         a = perturb_layout(two_site_layout, noise, make_rng(17))

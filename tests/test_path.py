@@ -100,6 +100,12 @@ class TestStops:
         with pytest.raises(SceneValidationError, match="stop spacing 0 m"):
             _stop_marks(10.0, 0.0)
 
+    @pytest.mark.parametrize("frame_rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_frame_rate_rejected_by_name(self, frame_rate):
+        path = CameraPath(segments=(straight(),), speed=1.0)
+        with pytest.raises(SceneValidationError, match="frame rate must be finite"):
+            camera_stops(path, frame_rate=frame_rate)
+
     def test_heading_follows_tangent(self):
         # +x heading is yaw 90; +z is yaw 0
         east = CameraPath(segments=(straight(),), speed=1.0)

@@ -5,11 +5,12 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relabel.partition import VoronoiSite
+from relabel.partition import VoronoiSite, candidate_labels, candidate_rows
 from relabel.path import camera_stops
 from relabel.scene import (
     BoxDims,
@@ -22,8 +23,10 @@ from relabel.scene import (
     SceneValidationError,
     bearing_deg,
     is_visible,
+    layout_arrays,
     load_scene,
     normalize_yaw,
+    object_arrays,
     observation_from_dict,
     observation_to_dict,
     save_scene,
@@ -215,6 +218,85 @@ class TestVisibleObjectsMatchScalar:
         layout = generate_scene(S2000, 0)
         for camera in camera_stops(patrol_route(layout))[::7]:
             assert visible_objects(layout, camera) == scalar_visible(layout, camera)
+
+
+# four boxes, the third a permutation of the first (told apart by value);
+# objects 0, 2 and 5 share the first box, 1 and 4 the second
+TAKE_BOXES = ((0.5, 0.9, 0.5), (1.4, 0.8, 0.9), (0.9, 0.5, 0.5), (0.4, 0.4, 0.4))
+TAKE_OBJECTS = tuple(
+    make_object(f"o{i}", float(i), 2.0 * i % 7, 40.0 * i, ("chair", "table")[i % 2], TAKE_BOXES[b])
+    for i, b in enumerate((0, 1, 0, 2, 1, 0, 3))
+)
+
+
+def assert_same_view(taken, built):
+    """`taken` holds what `built`, a view of the same items, holds: its box
+    rows may number the boxes in another order, but every item's box is the
+    same, and no box is held twice or left unused."""
+    assert taken.objects == built.objects
+    assert taken.types == built.types
+    for name in ("x", "z", "yaw"):
+        assert getattr(taken, name).tobytes() == getattr(built, name).tobytes()
+    assert taken.boxes.shape == built.boxes.shape
+    assert taken.boxes[taken.box_row].tobytes() == built.boxes[built.box_row].tobytes()
+    assert len({tuple(b) for b in taken.boxes.tolist()}) == len(taken.boxes)
+    assert sorted(set(taken.box_row.tolist())) == list(range(len(taken.boxes)))
+    for array in (taken.x, taken.z, taken.yaw, taken.boxes, taken.box_row):
+        assert not array.flags.writeable
+
+
+class TestObjectArraysTake:
+    """A row selection of a view is the view of the selected items."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[5, 1, 3, 0], [], [0, 2, 5], [4, 6], [6, 5, 4, 3, 2, 1, 0], [3]],
+        ids=["unsorted", "empty", "one-shared-box", "skips-boxes", "all-reversed", "one"],
+    )
+    def test_rows_match_a_view_of_the_same_objects(self, rows):
+        taken = object_arrays(TAKE_OBJECTS).take(np.array(rows, dtype=np.intp))
+        assert_same_view(taken, object_arrays(tuple(TAKE_OBJECTS[i] for i in rows)))
+
+    @given(rows=st.lists(st.integers(0, len(TAKE_OBJECTS) - 1), unique=True))
+    def test_any_selection_matches(self, rows):
+        taken = object_arrays(TAKE_OBJECTS).take(np.array(rows, dtype=np.intp))
+        assert_same_view(taken, object_arrays(tuple(TAKE_OBJECTS[i] for i in rows)))
+
+    def test_selection_keeps_only_the_boxes_it_uses(self):
+        view = object_arrays(TAKE_OBJECTS)
+        assert len(view.boxes) == 4
+        taken = view.take(np.array([4, 6], dtype=np.intp))
+        assert taken.boxes.tolist() == [list(TAKE_BOXES[1]), list(TAKE_BOXES[3])]
+        assert taken.box_row.tolist() == [0, 1]
+        assert view.take(np.array([5, 0, 2], dtype=np.intp)).box_row.tolist() == [0, 0, 0]
+
+    def test_selection_leaves_the_view_unchanged(self):
+        view = object_arrays(TAKE_OBJECTS)
+        before = [a.tobytes() for a in (view.x, view.z, view.yaw, view.boxes, view.box_row)]
+        view.take(np.array([6, 1], dtype=np.intp))
+        after = [a.tobytes() for a in (view.x, view.z, view.yaw, view.boxes, view.box_row)]
+        assert after == before
+        assert_same_view(view, object_arrays(TAKE_OBJECTS))
+
+    @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
+    def test_site_pools_match_their_objects(self, archetype):
+        layout = generate_scene(archetype, 2)
+        view = layout_arrays(layout)
+        for site in layout.sites:
+            taken = view.take(candidate_rows(layout, {site.id}))
+            assert_same_view(taken, object_arrays(candidate_labels(layout, {site.id})))
+
+    def test_detection_view_holds_their_types(self):
+        detections = (
+            make_detection(1.0, 2.0, 30.0, object_type="chair"),
+            make_detection(3.0, 1.0, 350.0, (1.4, 0.8, 0.9)),
+            make_detection(1.0, 2.0, 30.0, object_type="chair"),
+        )
+        view = object_arrays(detections)
+        assert view.types == ("chair", None, "chair")
+        assert view.box_row.tolist() == [0, 1, 0]
+        taken = view.take(np.array([2, 1], dtype=np.intp))
+        assert_same_view(taken, object_arrays(detections[:0:-1]))
 
 
 class TestSerialization:

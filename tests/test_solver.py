@@ -588,14 +588,14 @@ class TestPreparePipeline:
 
 
 def plan_snapshot(plan) -> tuple:
-    side = plan.side
-    arrays = (side.x, side.z, side.yaw, side.boxes, side.box_col)
+    pool = plan.pool
+    arrays = (pool.x, pool.z, pool.yaw, pool.boxes, pool.box_row)
     return (
         plan.kept_site_ids,
         plan.effective_threshold,
         plan.candidates,
-        side.labels,
-        side.types,
+        tuple(c.label for c in pool.objects),
+        pool.types,
         tuple(a.tobytes() for a in arrays),
     )
 
@@ -615,7 +615,7 @@ class TestStopPlan:
         assert reused.candidates == fresh.candidates
         assert reused.kept_site_ids == fresh.kept_site_ids
         assert reused.effective_threshold == fresh.effective_threshold
-        # the candidate half and the detection half rebuild the one-shot build
+        # the plan's pool and the detection view rebuild the one-shot build
         whole = build_cost_matrix(
             observation.detections, fresh.candidates, layout.bounds, default_weights(layout.bounds)
         )
@@ -691,8 +691,8 @@ class TestStopPlan:
 
     def test_plan_arrays_read_only(self, clustered_layout):
         camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
-        side = plan_stop(clustered_layout, camera, 0.0).side
-        for array in (side.x, side.z, side.yaw, side.boxes, side.box_col):
+        pool = plan_stop(clustered_layout, camera, 0.0).pool
+        for array in (pool.x, pool.z, pool.yaw, pool.boxes, pool.box_row):
             assert not array.flags.writeable
 
 
