@@ -303,7 +303,6 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
     layout = _sweep_layout(args)
     route = _sweep_route(args, layout)
     out_dir = _out_dir(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t_default, r_default, b_default, groupings, plots = _SWEEP_MODES[args.mode]
     t_list = args.t_list if args.t_list is not None else t_default
@@ -331,6 +330,8 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         result = run_threshold_sweep(layout, route, config, thresholds)
         mode_echo = {"thresholds": list(thresholds)}
 
+    # made only now, so a sweep that exits early leaves no empty directory
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows_path = out_dir / "rows.csv"
     write_rows_csv(result, rows_path)
     outputs = [str(rows_path)]

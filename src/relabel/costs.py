@@ -17,7 +17,9 @@ either side.  Boxes are told apart by value, never by object type, and
 every cell gets the same float operations as a 1 x 1 build of its own pair.
 A stop's candidate pool is rows of its layout's view (`ObjectArrays.take`),
 taken once per plan; `build_cost_matrix` scores views of the two tuples it
-is given.
+is given.  A sweep calls the kernel once per noise cell, on every perturbed
+object against every initial object, and slices each stop's costs out of
+that table (`solver.StopPlan.prepare_rows`).
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ pruning threshold:
   at a grid of thresholds, recording accuracy, candidate-pool size, and
   solve time.
 
+Each cell scores its perturbed objects against the initial objects once,
+as one cost table (`costs.score_arrays`, both in label order), and every
+threshold and stop of the cell slices its detections' rows and its
+candidates' columns out of that table (`StopPlan.prepare_rows`).
+
 Every (cell, threshold, stop) produces one row.  Rows are keyed and sorted,
 and are deterministic for a given (layout, path, config) except for the
 wall-clock solve_ms field, the time of one solve.
@@ -17,6 +22,7 @@ wall-clock solve_ms field, the time of one solve.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import dataclasses
 import math
@@ -24,13 +30,16 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .costs import CostWeights
+import numpy as np
+
+from .costs import CostMatrix, CostWeights, default_weights, score_arrays
 from .noise import NoiseModel, derive_seed, perturb_layout
 from .partition import validate_threshold
 from .path import CameraPath, camera_stops
 from .scene import (
     SceneLayout,
     SceneValidationError,
+    layout_arrays,
     synthesize_observation,
     visible_objects,
 )
@@ -152,11 +161,16 @@ def score_stop(
     a: float,
     b: float,
     rep: int,
-    weights: CostWeights | None,
+    table: CostMatrix,
     category_separated: bool,
 ) -> StopRecord:
     """Observe the perturbed layout from the plan's stop, resolve against
     the plan's initial layout, and score against the known identities.
+
+    `table` scores every perturbed object (rows) against every object of
+    the plan's layout (columns), both in label order.  A perturbation keeps
+    every label, so the row of a visible object is its label's position
+    among the column labels, and the stop's costs are a slice of the table.
 
     Ground truth is carried through the simulation: detections are emitted
     in label-sorted order of the perturbed objects, so detection i is
@@ -166,7 +180,9 @@ def score_stop(
     observation = synthesize_observation(perturbed, camera)
     truth = tuple(o.label for o in visible_objects(perturbed, camera))
     n = len(observation.detections)
-    prepared = plan.prepare(observation, weights, category_separated)
+    labels = table.candidates
+    rows = np.array([bisect.bisect_left(labels, label) for label in truth], dtype=np.intp)
+    prepared = plan.prepare_rows(table, rows, category_separated)
     m = len(prepared.candidates)
     try:
         start = time.perf_counter()
@@ -192,15 +208,18 @@ def _sweep(
     """Score every (repetition, a, b) cell at every threshold and stop.
 
     Each cell perturbs the initial layout once, with its own derived seed,
-    and every threshold reuses that perturbation, so rows of one cell differ
-    across thresholds only through pruning.  What a stop needs of the
-    initial layout is planned once per (threshold, stop), before any cell.
+    and scores it once into the cell's cost table; every threshold reuses
+    both, so rows of one cell differ across thresholds only through
+    pruning.  What a stop needs of the initial layout is planned once per
+    (threshold, stop), before any cell.
     """
     stops = camera_stops(
         path, fov=config.fov, range=config.camera_range, frame_rate=config.frame_rate
     )
     plans = [[plan_stop(layout, camera, threshold) for camera in stops] for threshold in thresholds]
     t_list = config.t_list if config.t_list is not None else default_t_list(layout.bounds.area())
+    weights = config.weights if config.weights is not None else default_weights(layout.bounds)
+    initial = layout_arrays(layout)
     rows: list[StopRecord] = []
     for rep in range(config.seeds):
         for a_idx, a in enumerate(t_list):
@@ -209,11 +228,12 @@ def _sweep(
                 perturbed = perturb_layout(
                     layout, noise, derive_seed(config.master_seed, rep, a_idx, b_idx)
                 )
+                table = score_arrays(layout_arrays(perturbed), initial, layout.bounds, weights)
                 for threshold_plans in plans:
                     for stop_idx, plan in enumerate(threshold_plans):
                         rows.append(
                             score_stop(
-                                plan, perturbed, stop_idx, a, b, rep, config.weights,
+                                plan, perturbed, stop_idx, a, b, rep, table,
                                 config.category_separated,
                             )
                         )

@@ -300,10 +300,12 @@ def _is_feasible(
     return not category_separated or _type_shortfall(detection_types, candidate_types) is None
 
 
-def _gather(layout: SceneLayout, sites: set[str]) -> ObjectArrays:
-    """The candidate pool of the sites' cells: rows of the layout's array
-    view."""
-    return layout_arrays(layout).take(candidate_rows(layout, sites))
+def _pool_rows(layout: SceneLayout, sites: set[str]) -> np.ndarray:
+    """The candidate pool of the sites' cells as read-only rows of the
+    layout's array view."""
+    rows = candidate_rows(layout, sites)
+    rows.flags.writeable = False
+    return rows
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -321,8 +323,11 @@ class PreparedProblem:
 class StopPlan:
     """The part of a stop's preparation that depends only on the remembered
     layout, the camera and the threshold: the site ranking, the sites the
-    threshold keeps, and the candidate pool of the kept sites.  Build it
-    once with `plan_stop` and `prepare` each observation from that stop."""
+    threshold keeps, and the candidate pool of the kept sites, both as rows
+    of the layout's array view (`rows`, label order) and as the view of
+    those rows (`pool`).  Build it once with `plan_stop`, then `prepare`
+    each observation from that stop, or `prepare_rows` each detection set
+    whose costs are already rows of a table (see `prepare_rows`)."""
 
     layout: SceneLayout
     camera: CameraState
@@ -330,11 +335,53 @@ class StopPlan:
     probabilities: SiteProbabilities
     kept_site_ids: frozenset[str]
     effective_threshold: float
+    rows: np.ndarray
     pool: ObjectArrays
 
     @property
     def candidates(self) -> tuple[ObjectInstance, ...]:
         return self.pool.objects
+
+    def _admit(
+        self, detection_types: tuple[str | None, ...], category_separated: bool
+    ) -> StopPlan:
+        """This plan when its pool can take the detections; otherwise a copy
+        that re-admits sites one at a time in probability order until the
+        instance becomes feasible or every site is kept.  The copy's
+        effective threshold is the cumulative probability actually covered.
+        The plan itself never changes."""
+        if category_separated:
+            _require_typed(detection_types)
+        view, rows, types = layout_arrays(self.layout), self.rows, self.pool.types
+        entries = self.probabilities.entries
+        start = depth = len(self.kept_site_ids) - 1  # how many ranked entries are included
+        readmitted = set(self.kept_site_ids)
+        while (
+            not _is_feasible(detection_types, types, category_separated)
+            and depth < len(entries)
+        ):
+            readmitted.add(entries[depth].site_id)
+            depth += 1
+            rows = _pool_rows(self.layout, readmitted)
+            types = tuple([view.types[i] for i in rows.tolist()])
+        if depth == start:
+            return self
+        return dataclasses.replace(
+            self,
+            kept_site_ids=frozenset(readmitted),
+            effective_threshold=entries[depth - 1].cumulative,
+            rows=rows,
+            pool=view.take(rows),
+        )
+
+    def _prepared(self, matrix: CostMatrix, category_separated: bool) -> PreparedProblem:
+        return PreparedProblem(
+            problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
+            candidates=self.pool.objects,
+            kept_site_ids=self.kept_site_ids,
+            requested_threshold=self.threshold,
+            effective_threshold=self.effective_threshold,
+        )
 
     def prepare(
         self,
@@ -342,45 +389,53 @@ class StopPlan:
         weights: CostWeights | None = None,
         category_separated: bool = False,
     ) -> PreparedProblem:
-        """Cost the observation against the plan's candidates.
-
-        If the pool is too small for the detections, sites are re-admitted
-        one at a time in probability order until the instance becomes
-        feasible; the effective threshold reported is the cumulative
-        probability actually covered.  The plan itself never changes.
-        The observation must come from the plan's camera.
+        """Cost the observation against the plan's candidates, re-admitting
+        sites if the pool is too small for the detections.  The observation
+        must come from the plan's camera.
         """
         if observation.camera != self.camera:
             raise SceneValidationError("the observation is from another camera than the plan's")
-        layout = self.layout
         if weights is None:
-            weights = default_weights(layout.bounds)
+            weights = default_weights(self.layout.bounds)
         detections = object_arrays(observation.detections)
-        if category_separated:
-            _require_typed(detections.types)
-        kept, effective, pool = self.kept_site_ids, self.effective_threshold, self.pool
-        entries = self.probabilities.entries
-        start = depth = len(kept) - 1  # how many ranked entries are included
-        readmitted = set(kept)
-        while (
-            not _is_feasible(detections.types, pool.types, category_separated)
-            and depth < len(entries)
-        ):
-            entry = entries[depth]
-            depth += 1
-            readmitted.add(entry.site_id)
-            effective = entry.cumulative
-            pool = _gather(layout, readmitted)
-        if depth > start:
-            kept = frozenset(readmitted)
-        matrix = score_arrays(detections, pool, layout.bounds, weights)
-        return PreparedProblem(
-            problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
-            candidates=pool.objects,
-            kept_site_ids=kept,
-            requested_threshold=self.threshold,
-            effective_threshold=effective,
+        plan = self._admit(detections.types, category_separated)
+        matrix = score_arrays(detections, plan.pool, plan.layout.bounds, weights)
+        return plan._prepared(matrix, category_separated)
+
+    def prepare_rows(
+        self, table: CostMatrix, rows: np.ndarray, category_separated: bool = False
+    ) -> PreparedProblem:
+        """Slice the costs of the detections at `rows` of `table`, in that
+        order, against the plan's candidates, re-admitting sites as
+        `prepare` does.
+
+        `table` scores detections against every object of the plan's layout,
+        its columns in label order (`score_arrays(..., layout_arrays(layout),
+        ...)`), so each cell has the bytes `prepare` would score for the same
+        detection, candidate and weights.
+        """
+        if table.shape[1] != len(self.layout.objects):
+            raise SceneValidationError(
+                f"cost table has {table.shape[1]} columns, expected one per object of "
+                f"'{self.layout.name}' ({len(self.layout.objects)})"
+            )
+        detection_types = tuple([table.detection_types[i] for i in rows.tolist()])
+        plan = self._admit(detection_types, category_separated)
+        cols = plan.rows
+
+        def block(costs: np.ndarray) -> np.ndarray:
+            return costs.take(rows, axis=0).take(cols, axis=1)  # costs[np.ix_(rows, cols)]
+
+        matrix = CostMatrix(
+            candidates=tuple([table.candidates[j] for j in cols.tolist()]),
+            candidate_types=plan.pool.types,
+            detection_types=detection_types,
+            c_t=block(table.c_t),
+            c_r=block(table.c_r),
+            c_d=block(table.c_d),
+            total=block(table.total),
         )
+        return plan._prepared(matrix, category_separated)
 
 
 def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) -> StopPlan:
@@ -389,6 +444,7 @@ def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) 
     probabilities = site_probabilities(camera, layout.sites)
     kept = prune_sites(probabilities, threshold)
     depth = len(kept) - 1  # how many ranked entries are included
+    rows = _pool_rows(layout, kept)
     return StopPlan(
         layout=layout,
         camera=camera,
@@ -396,7 +452,8 @@ def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) 
         probabilities=probabilities,
         kept_site_ids=frozenset(kept),
         effective_threshold=probabilities.entries[depth - 1].cumulative if depth else 0.0,
-        pool=_gather(layout, kept),
+        rows=rows,
+        pool=layout_arrays(layout).take(rows),
     )
 
 

@@ -106,6 +106,20 @@ class TestSeedAndFrameRate:
         assert run("sweep", *args, "--out-dir", str(tmp_path / "out")) == 3
         assert "frame rate must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--archetype", "L1", "--noise", "0.1", "--frame-rate", "nan"),
+            ("--scene", "SCENE", "--seed", "-1", "--noise", "0.1"),
+        ],
+        ids=["frame-rate-nan", "scene-negative-seed"],
+    )
+    def test_failed_sweep_leaves_no_out_dir(self, tmp_path, scene_file, argv):
+        argv = [str(scene_file) if a == "SCENE" else a for a in argv]
+        out = tmp_path / "out"
+        assert run("sweep", *argv, "--out-dir", str(out)) == 3
+        assert not out.exists()
+
 
 class TestMalformedInput:
     """Malformed documents exit 3 with the path of the offending field."""

@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from relabel import harness
+from relabel.costs import default_weights, score_arrays
 from relabel.harness import (
     CSV_COLUMNS,
     StopRecord,
@@ -23,7 +24,7 @@ from relabel.harness import (
     write_summary_csv,
 )
 from relabel.noise import NoiseModel, ZERO_NOISE, perturb_layout
-from relabel.scene import CameraState, SceneValidationError
+from relabel.scene import CameraState, SceneValidationError, layout_arrays
 from relabel.scenegen import generate_scene, patrol_route
 from relabel.solver import plan_stop
 
@@ -82,19 +83,27 @@ class TestSweepResult:
         assert [r.stop for r in SweepResult(rows=rows).scored()] == [0]
 
 
+def unperturbed_table(layout):
+    """The cost table of a cell without noise: the layout against itself."""
+    view = layout_arrays(layout)
+    return score_arrays(view, view, layout.bounds, default_weights(layout.bounds))
+
+
 class TestScoreStop:
     def test_zero_noise_scores_perfectly(self, l1_setup):
         layout, route = l1_setup
         # a step south of the room, so every object sits inside the cone
         camera = CameraState(position=(layout.bounds.width / 2, -5.0), yaw=0.0, fov=179.0, range=50.0)
-        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 0, 0.0, 0.0, 0, None, False)
+        table = unperturbed_table(layout)
+        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 0, 0.0, 0.0, 0, table, False)
         assert rec.n == len(layout.objects)
         assert rec.accuracy == 1.0 and rec.correct == rec.n
 
     def test_empty_stop_has_no_accuracy(self, l1_setup):
         layout, _ = l1_setup
         camera = CameraState(position=(0.0, 0.0), yaw=180.0, fov=10.0, range=0.5)
-        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 3, 0.2, 5.0, 1, None, False)
+        table = unperturbed_table(layout)
+        rec = score_stop(plan_stop(layout, camera, 1.0), layout, 3, 0.2, 5.0, 1, table, False)
         assert rec.n == 0 and rec.accuracy is None
         assert rec.stop == 3 and rec.rep == 1
 

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from relabel import solver
-from relabel.costs import CostMatrix, CostWeights, build_cost_matrix, default_weights
+from relabel.costs import (
+    CostMatrix,
+    CostWeights,
+    build_cost_matrix,
+    default_weights,
+    score_arrays,
+)
 from relabel.noise import NoiseModel, derive_seed, perturb_layout
 from relabel.partition import VoronoiSite
 from relabel.path import camera_stops
@@ -22,7 +28,10 @@ from relabel.scene import (
     SceneBounds,
     SceneLayout,
     SceneValidationError,
+    layout_arrays,
+    object_arrays,
     synthesize_observation,
+    visible_objects,
 )
 from relabel.scenegen import ARCHETYPES, generate_scene, patrol_route
 from relabel.solver import (
@@ -597,12 +606,21 @@ def plan_snapshot(plan) -> tuple:
         tuple(c.label for c in pool.objects),
         pool.types,
         tuple(a.tobytes() for a in arrays),
+        plan.rows.tobytes(),
     )
+
+
+def cell_table(seen, layout):
+    """A cell's cost table: the array view `seen` scored against every
+    object of `layout`, in label order."""
+    return score_arrays(seen, layout_arrays(layout), layout.bounds, default_weights(layout.bounds))
 
 
 class TestStopPlan:
     """One plan per (stop, threshold), reused across noise cells, prepares
-    what a fresh `prepare_problem` prepares, byte for byte."""
+    what a fresh `prepare_problem` prepares, byte for byte, whether it
+    scores the observation (`prepare`) or slices a cell's table
+    (`prepare_rows`)."""
 
     COSTS = ("c_t", "c_r", "c_d", "total")
 
@@ -612,6 +630,9 @@ class TestStopPlan:
             b = getattr(fresh.problem.matrix, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert reused.problem.matrix.candidates == fresh.problem.matrix.candidates
+        assert reused.problem.matrix.candidate_types == fresh.problem.matrix.candidate_types
+        assert reused.problem.matrix.detection_types == fresh.problem.matrix.detection_types
+        assert reused.problem.category_separated == fresh.problem.category_separated
         assert reused.candidates == fresh.candidates
         assert reused.kept_site_ids == fresh.kept_site_ids
         assert reused.effective_threshold == fresh.effective_threshold
@@ -631,19 +652,31 @@ class TestStopPlan:
             perturb_layout(layout, NoiseModel(t_sd=a, r_sd=b), derive_seed(3, k))
             for k, (a, b) in enumerate(((0.1, 15.0), (1.0, 60.0), (3.0, 120.0)))
         ]
+        tables = [cell_table(layout_arrays(perturbed), layout) for perturbed in cells]
+        readmitted = 0
         for threshold in (0.0, 0.25, 1.0):
             for camera in cameras:
                 plan = plan_stop(layout, camera, threshold)
                 before = plan_snapshot(plan)
-                for perturbed in cells:
+                for perturbed, table in zip(cells, tables):
                     observation = synthesize_observation(perturbed, camera)
                     reused = plan.prepare(observation, None, category_separated)
+                    row = {o.label: i for i, o in enumerate(layout_arrays(perturbed).objects)}
+                    visible = [row[o.label] for o in visible_objects(perturbed, camera)]
+                    sliced = plan.prepare_rows(
+                        table, np.array(visible, dtype=np.intp), category_separated
+                    )
                     fresh = prepare_problem(
                         layout, observation, threshold, None, category_separated
                     )
                     self.assert_same(reused, fresh, observation, layout)
+                    self.assert_same(sliced, fresh, observation, layout)
+                    readmitted += sliced.kept_site_ids > plan.kept_site_ids
                     # the next cell starts from the plan as it was built
                     assert plan_snapshot(plan) == before
+        # the slice covers re-admitted columns; L1's stops never see more
+        # objects than the top site's cell holds
+        assert readmitted or archetype == "L1"
 
     @pytest.mark.parametrize("category_separated", (False, True))
     def test_large_layout_matches_one_shot_build(self, category_separated):
@@ -672,13 +705,25 @@ class TestStopPlan:
             detections=tuple(make_detection(float(x), 6.0) for x in (1, 2, 3, 4)),
         )
         sparse = Observation(camera=camera, detections=crowded.detections[:2])
+        # the slice path: the crowded detections are the table's rows
+        table = cell_table(object_arrays(crowded.detections), clustered_layout)
         first = plan.prepare(crowded)
-        assert first.kept_site_ids > plan.kept_site_ids
-        assert first.effective_threshold > plan.effective_threshold == 0.0
+        first_sliced = plan.prepare_rows(table, np.arange(4))
+        for reused in (first, first_sliced):
+            assert reused.kept_site_ids > plan.kept_site_ids
+            assert reused.effective_threshold > plan.effective_threshold == 0.0
         assert plan_snapshot(plan) == before
         second = plan.prepare(sparse)
-        assert second.kept_site_ids == plan.kept_site_ids == {"S01"}
-        for observation, reused in ((crowded, first), (sparse, second)):
+        second_sliced = plan.prepare_rows(table, np.arange(2))
+        for reused in (second, second_sliced):
+            assert reused.kept_site_ids == plan.kept_site_ids == {"S01"}
+        assert plan_snapshot(plan) == before
+        for observation, reused in (
+            (crowded, first),
+            (crowded, first_sliced),
+            (sparse, second),
+            (sparse, second_sliced),
+        ):
             fresh = prepare_problem(clustered_layout, observation, 0.0)
             self.assert_same(reused, fresh, observation, clustered_layout)
 
@@ -689,10 +734,18 @@ class TestStopPlan:
         with pytest.raises(SceneValidationError):
             plan.prepare(Observation(camera=elsewhere, detections=(make_detection(1.6, 5.1),)))
 
+    def test_table_of_another_layout_rejected(self, clustered_layout, two_site_layout):
+        camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
+        plan = plan_stop(clustered_layout, camera, 0.0)
+        table = cell_table(layout_arrays(two_site_layout), two_site_layout)
+        with pytest.raises(SceneValidationError, match="4 columns"):
+            plan.prepare_rows(table, np.arange(1))
+
     def test_plan_arrays_read_only(self, clustered_layout):
         camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
-        pool = plan_stop(clustered_layout, camera, 0.0).pool
-        for array in (pool.x, pool.z, pool.yaw, pool.boxes, pool.box_row):
+        plan = plan_stop(clustered_layout, camera, 0.0)
+        pool = plan.pool
+        for array in (plan.rows, pool.x, pool.z, pool.yaw, pool.boxes, pool.box_row):
             assert not array.flags.writeable
 
 
