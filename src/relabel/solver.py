@@ -164,26 +164,57 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     return cols, _gather_total(costs, cols)
 
 
+def _open_rows(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
+    """Rows of the scan, started from `cols`, that a smaller column might
+    enter: row r is open when some column below cols[r] that no earlier row
+    takes has prefix_r + cell + (the minima of rows r+1..) within the window
+    plus a float slack.
+
+    The row minima sum to a lower bound on any completion, so a closed row
+    has no column that could pass the scan's exact screen.  The slack,
+    1e-12 of the prefix and of each later row's largest finite |cell| plus
+    the window's tolerance, covers the rounding of either sum on tables of
+    up to some thousand rows; it is built from finite cells only, so a
+    forbidden (infinite) cell never opens a row.
+    """
+    n, m = costs.shape
+    # the scan's own running sum: the same additions in the same order
+    prefix = np.append(0.0, np.cumsum(costs[np.arange(n - 1), cols[:-1]]))
+    tail_min = np.append(np.cumsum(costs.min(axis=1)[:0:-1])[::-1], 0.0)
+    magnitude = np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1)
+    tail_magnitude = np.append(np.cumsum(magnitude[:0:-1])[::-1], 0.0)
+    slack = 1e-12 * (np.abs(prefix) + tail_magnitude) + _tol(window)
+    # column c is free at row r when no row up to r takes it
+    taken_by = np.full(m, n)
+    taken_by[cols] = np.arange(n)
+    free = (taken_by[None, :] > np.arange(n)[:, None]) & (np.arange(m)[None, :] < cols[:, None])
+    bound = prefix[:, None] + costs + tail_min[:, None]
+    return (free & (bound <= (window + slack)[:, None])).any(axis=1)
+
+
 def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
     """Lexicographically smallest in-window column tuple, row by row,
     starting from `cols`, an assignment within the window.
 
     Row r keeps cols[r] unless a smaller available column has a completion
     within the window; the first such completion becomes `cols`, so `cols`
-    never leaves the window.  One solve of the remaining rows over every
-    available column screens all smaller columns at once (the bound is
-    exact for a column that solve leaves unused, a lower bound otherwise);
-    a screened column pays for one solve of its completion, judged by the
-    canonical total of the whole column tuple.  The last row has no rows
-    left to solve.
+    never leaves the window.  One screen over the whole table (`_open_rows`)
+    skips the rows no smaller column can enter, and marks the later rows
+    again after a completion is taken.  For an open row, one solve of the
+    remaining rows over every available column screens all smaller columns
+    at once (the bound is exact for a column that solve leaves unused, a
+    lower bound otherwise); a screened column pays for one solve of its
+    completion, judged by the canonical total of the whole column tuple.
+    The last row has no rows left to solve.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
     prefix = 0.0
+    is_open = _open_rows(costs, window, cols)
     for r in range(n):
-        avail_idx = np.flatnonzero(available)
-        smaller = np.flatnonzero(avail_idx < cols[r])
-        if smaller.size:
+        if is_open[r]:
+            avail_idx = np.flatnonzero(available)
+            smaller = np.flatnonzero(avail_idx < cols[r])
             rest = costs[r + 1 :, avail_idx]
             bound = prefix + costs[r, avail_idx[smaller]] + _gather_total(rest, _completion(rest))
             for pos in smaller[bound <= window]:
@@ -192,6 +223,7 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
                 trial = np.concatenate([cols[:r], avail_idx[[pos]], tail])
                 if _gather_total(costs, trial) <= window:
                     cols = trial
+                    is_open = _open_rows(costs, window, cols)
                     break
         available[cols[r]] = False
         prefix += costs[r, cols[r]]

@@ -330,6 +330,18 @@ class TestCertificates:
 class TestRowScan:
     """The row scan, started from an in-window assignment."""
 
+    @pytest.fixture
+    def lsa_calls(self, monkeypatch):
+        """Shapes of the solver's `linear_sum_assignment` calls."""
+        calls = []
+
+        def counting(costs):
+            calls.append(costs.shape)
+            return linear_sum_assignment(costs)
+
+        monkeypatch.setattr(solver, "linear_sum_assignment", counting)
+        return calls
+
     def test_result_is_independent_of_the_start(self):
         # started from every in-window assignment, the scan must reach the
         # oracle's columns
@@ -353,35 +365,134 @@ class TestRowScan:
                 starts += 1
         assert starts >= 3000
 
-    def test_smallest_start_makes_no_scan_solve(self, monkeypatch):
+    def test_smallest_start_makes_no_scan_solve(self, lsa_calls):
         # every assignment of an all-zero table ties, and the first solve
         # already returns the smallest column tuple: no row has a smaller
         # column to try, so the only solves are the LSA and the
         # certificate's re-solve
-        calls = []
-
-        def counting(costs):
-            calls.append(costs.shape)
-            return linear_sum_assignment(costs)
-
-        monkeypatch.setattr(solver, "linear_sum_assignment", counting)
         result = solve(AssignmentProblem(matrix_from(np.zeros((4, 6)))))
         assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
-        assert len(calls) == 2
+        assert len(lsa_calls) == 2
 
-    def test_last_row_makes_no_solve(self, monkeypatch):
+    def test_last_row_makes_no_solve(self, lsa_calls):
         # the last row has no rows after it: its smaller column is judged
         # by its own cell alone, without a solve of an empty block
-        calls = []
-
-        def counting(costs):
-            calls.append(costs.shape)
-            return linear_sum_assignment(costs)
-
-        monkeypatch.setattr(solver, "linear_sum_assignment", counting)
         costs = np.array([[0.0, 0.0, 5.0]])
         assert solver._scan_cols(costs, _tol(0.0), np.array([1])).tolist() == [0]
-        assert calls == []
+        assert lsa_calls == []
+
+    def test_screen_solves_only_open_rows(self, lsa_calls):
+        # rows 0-3 have smaller free columns, but each costs 5 more than
+        # the window: only row 4 opens (one rest solve, one completion),
+        # and after it takes column 6, row 5's smaller columns cost 5 again
+        costs = np.full((6, 8), 5.0)
+        costs[np.arange(4), np.arange(4) + 2] = 0.0
+        costs[4:, 6:] = 0.0
+        start = np.array([2, 3, 4, 5, 7, 6])
+        assert solver._scan_cols(costs, _tol(0.0), start).tolist() == [2, 3, 4, 5, 6, 7]
+        assert len(lsa_calls) == 2
+
+    @staticmethod
+    def exactly_closed(costs: np.ndarray, window: float, cols: np.ndarray, r: int) -> bool:
+        # the scan's exact screen at row r: every smaller free column has
+        # prefix + cell + the rest's optimum past the window
+        prefix = 0.0
+        for i in range(r):
+            prefix += costs[i, cols[i]]
+        avail_idx = np.setdiff1d(np.arange(costs.shape[1]), cols[:r])
+        smaller = avail_idx[avail_idx < cols[r]]
+        rest = costs[r + 1 :, avail_idx]
+        rest_value = solver._gather_total(rest, solver._completion(rest))
+        return bool(np.all(prefix + costs[r, smaller] + rest_value > window))
+
+    def near_window_tables(self, rng):
+        """Tie-heavy tables around the window's edge: TestNearWindow's
+        swaps, cells near 1e6 offset by 1e-9 of their size, and either kind
+        with typed blocks of forbidden cells."""
+        for trial in range(900):
+            if trial % 3 == 0:
+                ups = rng.choice([0.0, 0.5, 1.0, 1.5], size=2)
+                costs = TestNearWindow().table(rng, *ups)
+            else:
+                n = int(rng.integers(2, 6))
+                m = n + int(rng.integers(0, 3))
+                steps = rng.integers(0, 3, size=(n, m)) * rng.choice([0.5, 1.0, 2.0], size=(n, m))
+                costs = 1e6 * (1.0 + 1e-9 * steps)
+            if trial % 2:
+                n, m = costs.shape
+                det, cand = rng.integers(0, 2, size=n), rng.integers(0, 2, size=m)
+                cand[rng.permutation(m)[:n]] = det
+                costs = np.where(det[:, None] != cand[None, :], np.inf, costs)
+            yield costs
+
+    def test_screen_is_sound(self):
+        # started from any in-window assignment, as the scan is after a
+        # completion, a row the screen closes has no smaller free column
+        # that passes the exact screen
+        rng = np.random.default_rng(47)
+        closed = 0
+        for costs in self.near_window_tables(rng):
+            n, m = costs.shape
+            _, sigma = linear_sum_assignment(costs)
+            best = solver._gather_total(costs, sigma)
+            window = best + _tol(best)
+            perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
+            totals = costs[np.arange(n)[None, :], perms].sum(axis=1)
+            starts = perms[totals <= window]
+            for start in starts[rng.permutation(len(starts))[:12]]:
+                is_open = solver._open_rows(costs, window, start)
+                for r in np.flatnonzero(~is_open):
+                    if np.setdiff1d(np.arange(start[r]), start[:r]).size:
+                        assert self.exactly_closed(costs, window, start, r)
+                        closed += 1
+        assert closed >= 1000
+
+    def test_screen_keeps_an_edge_row_open(self):
+        # row 0's column 0 completes exactly on the window's edge when the
+        # rest is summed in row order, (1 + u) + u == 1 with u = 2^-53, but
+        # the row minima summed from the last row, (u + u) + 1, round one
+        # ulp past it: the slack keeps the row open
+        u = 2.0**-53
+        costs = np.full((4, 5), 5.0)
+        costs[0, :2] = 0.0
+        costs[[1, 2, 3], [2, 3, 4]] = (1.0, u, u)
+        start = np.array([1, 2, 3, 4])
+        assert self.exactly_closed(costs, 1.0, start, 0) is False
+        assert solver._open_rows(costs, 1.0, start)[0]
+        assert solver._scan_cols(costs, 1.0, start).tolist() == [0, 2, 3, 4]
+
+    def test_forbidden_cells_open_no_row(self, lsa_calls):
+        # typed twins: every row's smaller free columns are of the other
+        # type, so no row opens and the scan makes no solve
+        costs = np.zeros((3, 6))
+        costs[:, :3] = np.inf
+        start = np.array([3, 4, 5])
+        assert not solver._open_rows(costs, _tol(0.0), start).any()
+        assert solver._scan_cols(costs, _tol(0.0), start).tolist() == [3, 4, 5]
+        assert lsa_calls == []
+
+    def test_typed_twins_match_oracle(self):
+        # pairs of identical objects per type: exact ties inside each type,
+        # forbidden cells across types, which open no row
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            k = int(rng.integers(1, 5))
+            poses = rng.integers(0, 3, size=(k, k)).astype(float)
+            totals = np.repeat(poses, 2, axis=1)[:, rng.permutation(2 * k)]
+            types = tuple(rng.choice(["chair", "table"], size=2 * k).tolist())
+            detections = tuple(rng.permutation(types)[:k].tolist())
+            costs = np.where(np.array(detections)[:, None] != np.array(types), np.inf, totals)
+            _, sigma = linear_sum_assignment(costs)
+            best = solver._gather_total(costs, sigma)
+            for r in np.flatnonzero(solver._open_rows(costs, best + _tol(best), sigma)):
+                free = np.setdiff1d(np.arange(sigma[r]), sigma[:r])
+                assert np.isfinite(costs[r, free]).any()
+            assert_matches_oracle(
+                AssignmentProblem(
+                    matrix_from(totals, detection_types=detections, candidate_types=types),
+                    category_separated=True,
+                )
+            )
 
 
 class TestCategorySeparation:
