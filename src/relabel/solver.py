@@ -164,32 +164,122 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     return cols, _gather_total(costs, cols)
 
 
-def _open_rows(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
-    """Rows of the scan, started from `cols`, that a smaller column might
-    enter: row r is open when some column below cols[r] that no earlier row
-    takes has prefix_r + cell + (the minima of rows r+1..) within the window
-    plus a float slack.
+def _row_tails(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The open-row screen's per-table sums: for r = 0..n, the sum over
+    rows r.. of each row's minimum and of its largest finite |cell|, each
+    summed from the last row up (0 at r = n)."""
+    magnitude = np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1)
+    tail_min = np.append(np.cumsum(costs.min(axis=1)[::-1])[::-1], 0.0)
+    tail_magnitude = np.append(np.cumsum(magnitude[::-1])[::-1], 0.0)
+    return tail_min, tail_magnitude
+
+
+def _open_rows(
+    costs: np.ndarray,
+    window: float,
+    cols: np.ndarray,
+    first: int = 0,
+    tails: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Rows first.. of the scan, started from `cols`, that a smaller column
+    might enter: row r is open when some column below cols[r] that no
+    earlier row takes has prefix_r + cell + (the minima of rows r+1..)
+    within the window plus a float slack.
 
     The row minima sum to a lower bound on any completion, so a closed row
-    has no column that could pass the scan's exact screen.  The slack,
-    1e-12 of the prefix and of each later row's largest finite |cell| plus
-    the window's tolerance, covers the rounding of either sum on tables of
-    up to some thousand rows; it is built from finite cells only, so a
-    forbidden (infinite) cell never opens a row.
+    has no column with a completion within the window.  The slack, 1e-12 of
+    the prefix and of each later row's largest finite |cell| plus the
+    window's tolerance, covers the rounding of either sum on tables of up
+    to some thousand rows; it is built from finite cells only, so a
+    forbidden (infinite) cell never opens a row.  `tails` are the table's
+    `_row_tails`, which a scan computes once.
     """
     n, m = costs.shape
+    tail_min, tail_magnitude = _row_tails(costs) if tails is None else tails
     # the scan's own running sum: the same additions in the same order
-    prefix = np.append(0.0, np.cumsum(costs[np.arange(n - 1), cols[:-1]]))
-    tail_min = np.append(np.cumsum(costs.min(axis=1)[:0:-1])[::-1], 0.0)
-    magnitude = np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1)
-    tail_magnitude = np.append(np.cumsum(magnitude[:0:-1])[::-1], 0.0)
-    slack = 1e-12 * (np.abs(prefix) + tail_magnitude) + _tol(window)
-    # column c is free at row r when no row up to r takes it
+    prefix = np.append(0.0, np.cumsum(costs[np.arange(n - 1), cols[:-1]]))[first:]
+    slack = 1e-12 * (np.abs(prefix) + tail_magnitude[first + 1 :]) + _tol(window)
+    # column c is free at row r when no row up to r takes it; the bound
+    # rounds up with the cell, so the cheapest free smaller cell decides
     taken_by = np.full(m, n)
     taken_by[cols] = np.arange(n)
-    free = (taken_by[None, :] > np.arange(n)[:, None]) & (np.arange(m)[None, :] < cols[:, None])
-    bound = prefix[:, None] + costs + tail_min[:, None]
-    return (free & (bound <= (window + slack)[:, None])).any(axis=1)
+    free = (taken_by > np.arange(first, n)[:, None]) & (np.arange(m) < cols[first:, None])
+    cheapest = np.where(free, costs[first:], np.inf).min(axis=1)
+    return prefix + cheapest + tail_min[first + 1 :] <= window + slack
+
+
+def _held_lowest(
+    block: np.ndarray, limit: int, prefix: float, ceiling: float
+) -> tuple[int, float] | None:
+    """The lowest column below `limit` that row 0 of `block` takes in a held
+    solve valued within `ceiling`, and that value; None when there is none.
+
+    A held solve is one LSA of the block with row 0's cells at or above the
+    limit set to inf: its optimum is the best completion over every column
+    below the limit at once.  While prefix + that optimum is within the
+    ceiling, the limit moves down to the column the solve chose, so every
+    column below the one returned has no completion within the ceiling.
+    Forbidden cells come in type blocks, so a finite cell below the limit
+    always leaves a feasible solve.  `block` must be a copy: it is changed
+    in place.
+    """
+    lowest = None
+    row = block[0]
+    while np.isfinite(row[:limit]).any():
+        row[limit:] = np.inf
+        cols = _completion(block)
+        value = _gather_total(block, cols)
+        if prefix + value > ceiling:
+            break
+        limit = int(cols[0])
+        lowest = limit, value
+    return lowest
+
+
+def _row_entry(
+    costs: np.ndarray,
+    window: float,
+    cols: np.ndarray,
+    r: int,
+    avail_idx: np.ndarray,
+    prefix: float,
+    margin: float,
+) -> np.ndarray | None:
+    """`cols` with row r moved to the smallest of the available columns
+    `avail_idx` below cols[r] that has a completion within the window, and
+    that completion; None when no such column has one.
+
+    Held solves (`_held_lowest`), within the window plus `margin`, skip the
+    columns below the lowest one they reach; no column reached means none
+    has a completion.  When the lowest column's held value is within the
+    window less the margin, its completion is in the window too.
+    Otherwise one solve of the remaining rows over every available column
+    screens the columns from the lowest up (the bound is exact for a column
+    that solve leaves unused, a lower bound otherwise).  A screened column
+    pays for one solve of its completion, judged by the canonical total of
+    the whole column tuple.  The last row has no rows left to solve.
+    """
+    smaller = np.flatnonzero(avail_idx < cols[r])
+    if r == len(cols) - 1:
+        screened = smaller[prefix + costs[r, avail_idx[smaller]] <= window]
+    else:
+        held = _held_lowest(costs[r:, avail_idx], len(smaller), prefix, window + margin)
+        if held is None:
+            return None
+        low, value = held
+        if prefix + value <= window - margin:
+            screened = smaller[low : low + 1]
+        else:
+            smaller, rest = smaller[low:], costs[r + 1 :, avail_idx]
+            bound = prefix + costs[r, avail_idx[smaller]] + _gather_total(rest, _completion(rest))
+            screened = smaller[bound <= window]
+    for pos in screened:
+        rest_idx = np.delete(avail_idx, pos)
+        tail = rest_idx[_completion(costs[r + 1 :, rest_idx])]
+        trial = np.concatenate([cols[:r], avail_idx[[pos]], tail])
+        if _gather_total(costs, trial) <= window:
+            return trial
+    return None
 
 
 def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
@@ -197,36 +287,30 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
     starting from `cols`, an assignment within the window.
 
     Row r keeps cols[r] unless a smaller available column has a completion
-    within the window; the first such completion becomes `cols`, so `cols`
-    never leaves the window.  One screen over the whole table (`_open_rows`)
-    skips the rows no smaller column can enter, and marks the later rows
-    again after a completion is taken.  For an open row, one solve of the
-    remaining rows over every available column screens all smaller columns
-    at once (the bound is exact for a column that solve leaves unused, a
-    lower bound otherwise); a screened column pays for one solve of its
-    completion, judged by the canonical total of the whole column tuple.
-    The last row has no rows left to solve.
+    within the window; the first such completion becomes `cols`
+    (`_row_entry`), so `cols` never leaves the window.  One screen over the
+    whole table (`_open_rows`) skips the rows no smaller column can enter,
+    and marks the rows below again after a completion is taken.  The held
+    solves' margin is 4e-12 of the magnitudes in the sums, the prefix's
+    cells and each row's largest finite |cell| from row r on: it covers
+    rounding only, so a skipped column has no completion within the window
+    and a taken one is the completion the screen would have taken.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
-    prefix = 0.0
-    is_open = _open_rows(costs, window, cols)
+    prefix = prefix_size = 0.0
+    tails = _row_tails(costs)
+    is_open = _open_rows(costs, window, cols, tails=tails)
     for r in range(n):
         if is_open[r]:
-            avail_idx = np.flatnonzero(available)
-            smaller = np.flatnonzero(avail_idx < cols[r])
-            rest = costs[r + 1 :, avail_idx]
-            bound = prefix + costs[r, avail_idx[smaller]] + _gather_total(rest, _completion(rest))
-            for pos in smaller[bound <= window]:
-                rest_idx = np.delete(avail_idx, pos)
-                tail = rest_idx[_completion(costs[r + 1 :, rest_idx])]
-                trial = np.concatenate([cols[:r], avail_idx[[pos]], tail])
-                if _gather_total(costs, trial) <= window:
-                    cols = trial
-                    is_open = _open_rows(costs, window, cols)
-                    break
+            margin = 4e-12 * (prefix_size + tails[1][r])
+            trial = _row_entry(costs, window, cols, r, np.flatnonzero(available), prefix, margin)
+            if trial is not None:
+                cols = trial
+                is_open[r + 1 :] = _open_rows(costs, window, cols, r + 1, tails)
         available[cols[r]] = False
         prefix += costs[r, cols[r]]
+        prefix_size += abs(costs[r, cols[r]])
     return cols
 
 

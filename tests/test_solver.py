@@ -383,14 +383,29 @@ class TestRowScan:
 
     def test_screen_solves_only_open_rows(self, lsa_calls):
         # rows 0-3 have smaller free columns, but each costs 5 more than
-        # the window: only row 4 opens (one rest solve, one completion),
-        # and after it takes column 6, row 5's smaller columns cost 5 again
+        # the window: only row 4 opens.  Its held solves reach column 6 at
+        # a total of 0, then find nothing in the window below it; column 6
+        # is taken with its completion, and row 5's smaller columns cost 5
+        # again: two held solves of rows 4-5, one completion of row 5
         costs = np.full((6, 8), 5.0)
         costs[np.arange(4), np.arange(4) + 2] = 0.0
         costs[4:, 6:] = 0.0
         start = np.array([2, 3, 4, 5, 7, 6])
         assert solver._scan_cols(costs, _tol(0.0), start).tolist() == [2, 3, 4, 5, 6, 7]
-        assert len(lsa_calls) == 2
+        assert lsa_calls == [(2, 4), (2, 4), (1, 3)]
+
+    def test_held_solve_closes_a_screened_row(self, lsa_calls):
+        # row 0's smaller columns 0 and 1 both pass the row-minimum screen
+        # (0 + 0 + 0), but rows 1 and 2 need both: every completion costs
+        # 5.  One held solve closes the row, where the bound screen would
+        # pay for a rest solve and two failing completions
+        costs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [0.0, 0.0, 5.0]])
+        start = np.array([2, 0, 1])
+        window = _tol(0.0)
+        assert solver._open_rows(costs, window, start).tolist() == [True, False, False]
+        assert all(costs[0, c] + costs[1:].min(axis=1).sum() <= window for c in (0, 1))
+        assert solver._scan_cols(costs, window, start).tolist() == [2, 0, 1]
+        assert lsa_calls == [(3, 3)]
 
     @staticmethod
     def exactly_closed(costs: np.ndarray, window: float, cols: np.ndarray, r: int) -> bool:
