@@ -208,34 +208,6 @@ def _open_rows(
     return prefix + cheapest + tail_min[first + 1 :] <= window + slack
 
 
-def _held_lowest(
-    block: np.ndarray, limit: int, prefix: float, ceiling: float
-) -> tuple[int, float] | None:
-    """The lowest column below `limit` that row 0 of `block` takes in a held
-    solve valued within `ceiling`, and that value; None when there is none.
-
-    A held solve is one LSA of the block with row 0's cells at or above the
-    limit set to inf: its optimum is the best completion over every column
-    below the limit at once.  While prefix + that optimum is within the
-    ceiling, the limit moves down to the column the solve chose, so every
-    column below the one returned has no completion within the ceiling.
-    Forbidden cells come in type blocks, so a finite cell below the limit
-    always leaves a feasible solve.  `block` must be a copy: it is changed
-    in place.
-    """
-    lowest = None
-    row = block[0]
-    while np.isfinite(row[:limit]).any():
-        row[limit:] = np.inf
-        cols = _completion(block)
-        value = _gather_total(block, cols)
-        if prefix + value > ceiling:
-            break
-        limit = int(cols[0])
-        lowest = limit, value
-    return lowest
-
-
 def _row_entry(
     costs: np.ndarray,
     window: float,
@@ -249,37 +221,44 @@ def _row_entry(
     `avail_idx` below cols[r] that has a completion within the window, and
     that completion; None when no such column has one.
 
-    Held solves (`_held_lowest`), within the window plus `margin`, skip the
-    columns below the lowest one they reach; no column reached means none
-    has a completion.  When the lowest column's held value is within the
-    window less the margin, its completion is in the window too.
-    Otherwise one solve of the remaining rows over every available column
-    screens the columns from the lowest up (the bound is exact for a column
-    that solve leaves unused, a lower bound otherwise).  A screened column
-    pays for one solve of its completion, judged by the canonical total of
-    the whole column tuple.  The last row has no rows left to solve.
+    A held solve is one LSA of rows r.. over the available columns with row
+    r held to a range of them (its other cells set to inf): its optimum is
+    the best completion over every column in the range at once, as in the
+    partition step of Murty's ranking of assignments (Murty 1968).  The
+    range starts as every column below cols[r] and, while prefix + the held
+    optimum is within the window plus `margin`, shrinks to the columns
+    below the one the solve chose.  The lowest column reached is taken with
+    the held solution as its completion when the canonical total of the
+    whole column tuple is within the window; when rounding at the window's
+    edge puts it past, the held solves run again over the columns above it.
+    Forbidden cells come in type blocks, so a finite cell in the range
+    always leaves a feasible solve.  The last row has no rows left to
+    solve: its own cell decides.
     """
-    smaller = np.flatnonzero(avail_idx < cols[r])
+    below = int(np.count_nonzero(avail_idx < cols[r]))
     if r == len(cols) - 1:
-        screened = smaller[prefix + costs[r, avail_idx[smaller]] <= window]
-    else:
-        held = _held_lowest(costs[r:, avail_idx], len(smaller), prefix, window + margin)
-        if held is None:
+        for pos in np.flatnonzero(prefix + costs[r, avail_idx[:below]] <= window):
+            trial = np.append(cols[:r], avail_idx[pos])
+            if _gather_total(costs, trial) <= window:
+                return trial
+        return None
+    block = costs[r:, avail_idx]
+    cells = block[0].copy()
+    low, high, reached = 0, below, None
+    while True:
+        if np.isfinite(cells[low:high]).any():
+            block[0] = np.inf
+            block[0, low:high] = cells[low:high]
+            held = _completion(block)
+            if prefix + _gather_total(block, held) <= window + margin:
+                high, reached = int(held[0]), held
+                continue
+        if reached is None:
             return None
-        low, value = held
-        if prefix + value <= window - margin:
-            screened = smaller[low : low + 1]
-        else:
-            smaller, rest = smaller[low:], costs[r + 1 :, avail_idx]
-            bound = prefix + costs[r, avail_idx[smaller]] + _gather_total(rest, _completion(rest))
-            screened = smaller[bound <= window]
-    for pos in screened:
-        rest_idx = np.delete(avail_idx, pos)
-        tail = rest_idx[_completion(costs[r + 1 :, rest_idx])]
-        trial = np.concatenate([cols[:r], avail_idx[[pos]], tail])
+        trial = np.concatenate([cols[:r], avail_idx[reached]])
         if _gather_total(costs, trial) <= window:
             return trial
-    return None
+        low, high, reached = high + 1, below, None
 
 
 def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray:
@@ -293,8 +272,9 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
     and marks the rows below again after a completion is taken.  The held
     solves' margin is 4e-12 of the magnitudes in the sums, the prefix's
     cells and each row's largest finite |cell| from row r on: it covers
-    rounding only, so a skipped column has no completion within the window
-    and a taken one is the completion the screen would have taken.
+    rounding only, so a column the held solves skip has no completion
+    within the window, and the one they reach is judged by its canonical
+    total.
     """
     n, m = costs.shape
     available = np.ones(m, dtype=bool)
