@@ -203,7 +203,7 @@ def score_arrays(
 
     # identical objects share one box, so c_d is scored per distinct pair
     fit = _box_fit(detections.boxes, candidates.boxes)
-    c_d = fit[detections.box_row[:, None], candidates.box_row]
+    c_d = fit.take(detections.box_row, 0).take(candidates.box_row, 1)
 
     total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
     return CostMatrix(

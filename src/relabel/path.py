@@ -176,9 +176,9 @@ def camera_stops(
     """Camera states at every stop along the route, endpoints included.
 
     Stop spacing is speed * stop_interval / frame_rate meters.  The final
-    endpoint is appended unless a regular stop already lands on it.  A route
-    whose length holds MAX_STOPS spacings or more is rejected before any
-    stop is built.
+    endpoint is appended unless a regular stop already lands on it.  A
+    spacing that overflows to infinity, or a route whose length holds
+    MAX_STOPS spacings or more, is rejected before any stop is built.
     """
     if _require_finite(frame_rate, "frame rate") <= 0.0:
         raise SceneValidationError(f"frame rate must be > 0, got {frame_rate}")
@@ -186,7 +186,8 @@ def camera_stops(
     total = sum(lengths)
     if not 0.0 < total < math.inf:
         raise SceneValidationError(f"path length must be finite and > 0, got {total}")
-    spacing = path.speed * path.stop_interval / frame_rate
+    # finite speed and interval can still overflow to an infinite spacing
+    spacing = _require_finite(path.speed * path.stop_interval / frame_rate, "stop spacing")
     marks = _stop_marks(total, spacing)
     stops = []
     yaw = 0.0

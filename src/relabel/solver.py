@@ -16,6 +16,13 @@ agree on the pairs.
 Category separation forbids the cells that pair a detection with a label of
 another type (they cost infinity); the instance is still solved as one
 table, so the tie window is the whole instance's.
+
+`solve` runs one LSA for an optimum, sigma, then a tie certificate: a row
+screen, then one re-solve with sigma's cells raised.  When it declines and
+some column of sigma has byte-equal twins (identical objects stacked on one
+pose), the duplicate-group step runs the same certificate holding each row
+to every column of sigma's group for it; if that holds, each row takes the
+smallest free column of its group.  Anything else goes to the row scan.
 """
 
 from __future__ import annotations
@@ -114,29 +121,58 @@ def _completion(block: np.ndarray) -> np.ndarray:
 
 
 def _unique_within_window(
-    costs: np.ndarray, rows: np.ndarray, sigma: np.ndarray, base: np.ndarray, budget: float
+    costs: np.ndarray,
+    rows: np.ndarray,
+    sigma: np.ndarray,
+    base: np.ndarray,
+    budget: float,
+    held: np.ndarray | None = None,
 ) -> bool:
-    """True when sigma (row i takes column sigma_i, at cost base_i) is
-    provably the only assignment within `budget` of its total.
+    """True when every assignment within `budget` of sigma's total (row i
+    takes column sigma_i, at cost base_i) provably keeps each row in its
+    held cells: by default sigma's own, so sigma is the only one.
 
-    In rest space, rest[i, j] = costs[i, j] - base_i, any other assignment
-    T costs val(T) - val(sigma).  A row screen settles most stops: when
-    every row's other cells cost more than the budget, so does every T.
+    The held cells of row i must cost exactly base_i, as the cells of
+    sigma_i's duplicate columns do (`_column_groups`).  In rest space,
+    rest[i, j] = costs[i, j] - base_i, any assignment T costs val(T) -
+    val(sigma).  A row screen settles most stops: when every row's other
+    cells cost more than the budget, so does every T that leaves them.
 
-    Otherwise one more solve decides, with sigma's cells set to 2 * budget.
-    A T that keeps k of sigma's n cells costs k * 2 * budget + val(T) -
-    val(sigma) there, against n * 2 * budget for sigma.  If no assignment
-    beats sigma, every such T costs at least (n - k) * 2 * budget more than
-    sigma, past the budget.  The test is sufficient only; when it declines,
-    the row scan decides exactly.
+    Otherwise one more solve decides, with the held cells set to 2 *
+    budget.  A T that keeps k rows in held cells costs k * 2 * budget +
+    val(T) - val(sigma) there, against n * 2 * budget for sigma.  If no
+    assignment beats sigma, every such T costs at least (n - k) * 2 *
+    budget more than sigma, past the budget.  The test is sufficient only;
+    when it declines, the row scan decides exactly.
     """
     rest = costs - base[:, None]
-    rest[rows, sigma] = np.inf
+    if held is None:
+        held = (rows, sigma)
+    rest[held] = np.inf
     if rest.min() > budget:
         return True
-    rest[rows, sigma] = 2 * budget
+    rest[held] = 2 * budget
     ri, ci = linear_sum_assignment(rest)
     return bool(rest[ri, ci].sum() >= rest[rows, sigma].sum())
+
+
+def _column_groups(costs: np.ndarray) -> np.ndarray:
+    """Each column's group, numbered in order of first column: columns
+    equal byte for byte share one, so -0.0 and 0.0 stay apart."""
+    raw, width = costs.T.tobytes(), costs.shape[0] * costs.itemsize
+    seen: dict[bytes, int] = {}
+    return np.array(
+        [seen.setdefault(raw[at : at + width], len(seen)) for at in range(0, len(raw), width)]
+    )
+
+
+def _group_cols(groups: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Row by row, the smallest column of sigma's group for the row that no
+    earlier row takes."""
+    free: dict[int, list[int]] = {}
+    for col, group in enumerate(groups.tolist()):
+        free.setdefault(group, []).append(col)
+    return np.array([free[group].pop(0) for group in groups[sigma].tolist()], dtype=np.intp)
 
 
 def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -147,6 +183,14 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     other assignment lies within the tie window (the common case, in which
     sigma is trivially canonical) or the row scan, started from sigma,
     rebuilds the lexicographically smallest in-window column tuple.
+
+    Between the two, exact ties of duplicate columns (identical objects
+    stacked on one pose) settle without the scan: when some column of
+    sigma has byte-equal twins, the certificate runs again holding each
+    row to every column of sigma's group for it.  If it holds, every
+    in-window assignment keeps each row in that group, so its cells, row
+    by row, are sigma's, and the canonical one gives each row the smallest
+    column of its group that no earlier row takes, at sigma's total.
     """
     n, m = costs.shape
     if n > m:
@@ -158,8 +202,13 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     # the certificate is asked about twice the window: an assignment on the
     # window's edge may be in it by one summation order and out of it by
     # another, so it goes to the scan, which judges the canonical sum
-    if _unique_within_window(costs, rows, sigma, base, 2 * (window - best_value)):
+    budget = 2 * (window - best_value)
+    if _unique_within_window(costs, rows, sigma, base, budget):
         return sigma, best_value
+    groups = _column_groups(costs)
+    held = groups[sigma][:, None] == groups
+    if np.count_nonzero(held) > n and _unique_within_window(costs, rows, sigma, base, budget, held):
+        return _group_cols(groups, sigma), best_value
     cols = _scan_cols(costs, window, sigma)
     return cols, _gather_total(costs, cols)
 

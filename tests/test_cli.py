@@ -106,6 +106,14 @@ class TestSeedAndFrameRate:
         assert run("sweep", *args, "--out-dir", str(tmp_path / "out")) == 3
         assert "frame rate must be finite" in capsys.readouterr().err
 
+    def test_overflowing_stop_spacing_exits_3(self, tmp_path, capsys):
+        # speed * stop_interval / frame_rate = 1e307 * 100 / 60 is inf
+        args = ("--archetype", "L1", "--noise", "0.1", "--speed", "1e307")
+        assert run("sweep", *args, "--out-dir", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "stop spacing must be finite" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -156,9 +164,11 @@ class TestMalformedInput:
             (lambda doc: doc.update(stop_interval=None), "'stop_interval'"),
             (lambda doc: doc.update(stop_interval=float("inf")), "stop interval"),
             (lambda doc: doc["segments"][0].update(p1=[1e308, 0]), "path length"),
+            (lambda doc: doc.update(speed=1e307), "stop spacing"),
         ],
         ids=["segments-not-list", "speed-not-number", "point-not-numbers",
-             "stop-interval-null", "stop-interval-infinite", "length-overflows"],
+             "stop-interval-null", "stop-interval-infinite", "length-overflows",
+             "spacing-overflows"],
     )
     def test_path_file_exits_3_naming_the_field(self, tmp_path, scene_file, capsys, edit, field):
         doc = path_to_dict(patrol_route(load_scene(scene_file)))

@@ -106,6 +106,13 @@ class TestStops:
         with pytest.raises(SceneValidationError, match="frame rate must be finite"):
             camera_stops(path, frame_rate=frame_rate)
 
+    def test_overflowing_spacing_rejected_by_name(self):
+        # 1e307 * 100 / 60 overflows to inf, and inf spacing makes a NaN
+        # first mark (0 * inf) before any stop is placed
+        path = CameraPath(segments=(straight(),), speed=1e307)
+        with pytest.raises(SceneValidationError, match="stop spacing must be finite, got inf"):
+            camera_stops(path)
+
     def test_heading_follows_tangent(self):
         # +x heading is yaw 90; +z is yaw 0
         east = CameraPath(segments=(straight(),), speed=1.0)

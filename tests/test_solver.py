@@ -396,6 +396,165 @@ class TestCertificates:
             assert np.array_equal(fast, slow)
 
 
+class TestDuplicateGroups:
+    """The duplicate-group step: when sigma's columns have byte-equal twins
+    (identical objects stacked on one pose), the certificate held to
+    sigma's groups settles the tie without the row scan."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """Shapes of the tables the row scan runs on."""
+        calls = []
+        scan = solver._scan_cols
+
+        def counting(costs, window, cols):
+            calls.append(costs.shape)
+            return scan(costs, window, cols)
+
+        monkeypatch.setattr(solver, "_scan_cols", counting)
+        return calls
+
+    @staticmethod
+    def duplicate_heavy(rng, trial: int, shapes) -> tuple[np.ndarray, tuple, tuple]:
+        """A table, its detection types and its candidate types, cycling
+        through column copies, row copies, both, near-window cells and
+        signed zeros; every other table is typed, with the types copied
+        along with the cells so twin columns stay byte-equal."""
+        n, m = shapes[int(rng.integers(len(shapes)))]
+        kind = trial % 5
+        if kind == 3:
+            steps = rng.integers(0, 3, size=(n, m)) * rng.choice([0.5, 1.0, 2.0], size=(n, m))
+            totals = 1e6 * (1.0 + 1e-9 * steps)
+        elif kind == 4:
+            totals = rng.choice([0.0, -0.0, 1.0], size=(n, m))
+        else:
+            totals = rng.integers(0, 4, size=(n, m)).astype(float)
+        cand = rng.choice(["chair", "table"], size=m) if trial % 2 else np.full(m, "chair")
+        if kind in (0, 2, 3, 4):
+            sources = rng.integers(0, m, size=m)
+            totals, cand = totals[:, sources], cand[sources]
+        det = cand[rng.permutation(m)[:n]]
+        if kind in (1, 2):
+            # each row copies a row of its own type, so every type still fits
+            sources = [rng.choice(np.flatnonzero(det == det[i])) for i in range(n)]
+            totals = totals[sources]
+        return totals, tuple(det.tolist()), tuple(cand.tolist())
+
+    def test_column_groups_are_byte_equal(self):
+        costs = np.array([[0.0, 1.0, -0.0, 0.0, 1.0], [2.0, np.inf, 2.0, 2.0, np.inf]])
+        assert solver._column_groups(costs).tolist() == [0, 1, 2, 0, 1]
+        assert solver._group_cols(np.array([0, 1, 2, 0, 1]), np.array([3, 4])).tolist() == [0, 1]
+
+    def test_matches_oracle(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        grouped = []
+        group_cols = solver._group_cols
+        monkeypatch.setattr(
+            solver, "_group_cols", lambda *args: grouped.append(1) or group_cols(*args)
+        )
+        shapes = tuple((n, m) for n, m in ORACLE_SHAPES if math.perm(m, n) <= 50_000)
+        for trial in range(600):
+            totals, det, cand = self.duplicate_heavy(rng, trial, shapes)
+            typed = trial % 2 == 1
+            matrix = matrix_from(totals, det if typed else None, cand)
+            assert_matches_oracle(AssignmentProblem(matrix, category_separated=typed))
+        assert len(grouped) >= 150
+
+    def test_all_zero_table_settles_in_the_certificate(self, scans):
+        # every column is one group: the held certificate's row screen
+        # leaves no cell, so each row takes the next column in order
+        result = solve(AssignmentProblem(matrix_from(np.zeros((4, 6)))))
+        assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
+        assert result.total_cost == 0.0
+        assert scans == []
+
+    def test_matches_scan_from_sigma(self):
+        # twin tables up to 32 rows: each object's column appears once to
+        # three times, and some detections are copies of others
+        from relabel.solver import _canonical_cols, _gather_total, _scan_cols
+
+        rng = np.random.default_rng(61)
+        for trial in range(120):
+            k = int(rng.integers(1, 17))
+            if trial % 2:
+                objects = rng.integers(0, 4, size=(32, k)).astype(float)
+            else:
+                objects = rng.uniform(0.0, 1.0, size=(32, k))
+            totals = objects[:, rng.permutation(np.repeat(np.arange(k), rng.integers(1, 4, k)))]
+            n = int(rng.integers(1, min(32, totals.shape[1]) + 1))
+            costs = totals[rng.integers(0, 32, size=n)] if trial % 3 else totals[:n]
+            fast, total = _canonical_cols(costs)
+            _, sigma = linear_sum_assignment(costs)
+            best = _gather_total(costs, sigma)
+            slow = _scan_cols(costs, best + _tol(best), sigma)
+            assert fast.tolist() == slow.tolist()
+            assert total == _gather_total(costs, slow)
+
+    def test_stacked_twin_stop_makes_no_scan(self, scans):
+        # each object has a twin on its pose, observed without noise
+        objects = []
+        for x, z, yaw, object_type in ((2, 5, 0.0, "chair"), (7, 5, 90.0, "table"),
+                                       (5, 8, 200.0, "chair"), (4, 3, 0.0, "chair")):
+            for _ in range(2):
+                label = f"{object_type}-{len(objects):02d}"
+                dims = TWIN_DIMS[object_type]
+                objects.append(make_object(label, float(x), float(z), yaw, object_type, dims))
+        layout = SceneLayout(
+            name="twins",
+            bounds=SceneBounds(width=10.0, depth=10.0),
+            sites=(VoronoiSite(id="S01", center=(5.0, 5.0)),),
+            objects=tuple(objects),
+        )
+        camera = CameraState(position=(5.0, 0.0), yaw=0.0, fov=170.0, range=30.0)
+        observation = synthesize_observation(layout, camera)
+        assert len(observation.detections) == len(objects)
+        for category_separated in (False, True):
+            prepared = prepare_problem(layout, observation, category_separated=category_separated)
+            result = assert_matches_oracle(prepared.problem)
+            assert result.pairs == tuple(enumerate(sorted(o.label for o in objects)))
+        assert scans == []
+
+    def test_identical_rows_split_across_groups_still_scan(self, scans):
+        # rows 0 and 1 are identical detections that sigma sends to
+        # columns 0 and 1, which row 2 tells apart: no mask can hold the
+        # swap of those rows, so the scan decides, even though row 2's
+        # columns 2 and 3 are twins
+        costs = np.array([[0.0, 0.0, 5.0, 5.0], [0.0, 0.0, 5.0, 5.0], [5.0, 1.0, 0.0, 0.0]])
+        result = assert_matches_oracle(AssignmentProblem(matrix_from(costs)))
+        assert result.pairs == ((0, "c-00"), (1, "c-01"), (2, "c-02"))
+        assert scans == [(3, 4)]
+
+    def test_held_certificate_is_sound(self):
+        # whenever the certificate held to sigma's groups holds, every
+        # assignment within the budget keeps each row in its group, at
+        # sigma's cells row by row
+        rng = np.random.default_rng(67)
+        shapes = tuple((n, m) for n, m in ORACLE_SHAPES if math.perm(m, n) <= 50_000)
+        contested = certified = 0
+        for trial in range(600):
+            totals, det, cand = self.duplicate_heavy(rng, trial, shapes)
+            costs = np.where(np.array(det)[:, None] != np.array(cand), np.inf, totals)
+            rows, sigma, base, budget = certificate_args(costs)
+            if solver._unique_within_window(costs, rows, sigma, base, budget):
+                continue
+            groups = solver._column_groups(costs)
+            held = groups[sigma][:, None] == groups
+            if np.count_nonzero(held) == len(sigma):
+                continue
+            contested += 1
+            if not solver._unique_within_window(costs, rows, sigma, base, budget, held):
+                continue
+            certified += 1
+            n, m = costs.shape
+            perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
+            totals = costs[rows[None, :], perms].sum(axis=1)
+            near = perms[totals <= float(base.sum()) + budget]
+            assert held[rows[None, :], near].all()
+            assert (costs[rows[None, :], near] == base).all()
+        assert contested >= 200
+        assert certified >= 100
+
+
 class TestRowScan:
     """The row scan, started from an in-window assignment."""
 
@@ -435,13 +594,12 @@ class TestRowScan:
         assert starts >= 3000
 
     def test_smallest_start_makes_no_scan_solve(self, lsa_calls):
-        # every assignment of an all-zero table ties, and the first solve
-        # already returns the smallest column tuple: no row has a smaller
-        # column to try, so the only solves are the LSA and the
-        # certificate's re-solve
-        result = solve(AssignmentProblem(matrix_from(np.zeros((4, 6)))))
-        assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
-        assert len(lsa_calls) == 2
+        # every assignment of an all-zero table ties; started from the
+        # smallest column tuple, no row has a smaller column to try.  (A
+        # solve of it never scans: its columns are one duplicate group.)
+        costs = np.zeros((4, 6))
+        assert solver._scan_cols(costs, _tol(0.0), np.arange(4)).tolist() == [0, 1, 2, 3]
+        assert lsa_calls == []
 
     def test_last_row_makes_no_solve(self, lsa_calls):
         # the last row has no rows after it: its smaller column is judged
