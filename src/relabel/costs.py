@@ -205,7 +205,14 @@ def score_arrays(
     fit = _box_fit(detections.boxes, candidates.boxes)
     c_d = fit.take(detections.box_row, 0).take(candidates.box_row, 1)
 
-    total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
+    with np.errstate(over="ignore"):
+        total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
+    # the solver sums up to one cell per row, and its tie window and margins
+    # add a little more: twice every row at the largest cell must be finite
+    if not math.isfinite(float(total.max(initial=0.0)) * 2.0 * len(total)):
+        raise SceneValidationError(
+            f"weights w_t={weights.w_t!r}, w_r={weights.w_r!r} make the costs overflow"
+        )
     return CostMatrix(
         candidates=tuple([c.label for c in candidates.objects]),
         candidate_types=candidates.types,

@@ -36,9 +36,11 @@ class NoiseModel:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise SceneValidationError(f"noise {name} must be finite, got {value}")
+            if name.endswith("_sd"):
+                if value < 0.0:
+                    raise SceneValidationError(f"noise {name} must be >= 0, got {value}")
+                value += 0.0  # -0.0 is no noise; numpy's normal rejects its sign
             object.__setattr__(self, name, value)
-        if self.t_sd < 0.0 or self.r_sd < 0.0:
-            raise SceneValidationError("noise standard deviations must be >= 0")
 
 
 ZERO_NOISE = NoiseModel()

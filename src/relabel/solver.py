@@ -112,14 +112,6 @@ def _gather_total(costs: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sum(costs[np.arange(n), cols]))
 
 
-def _completion(block: np.ndarray) -> np.ndarray:
-    """Columns of an optimal assignment of the block's rows in row order;
-    none, without a solve, when the block has no rows."""
-    if len(block) == 0:
-        return np.empty(0, dtype=np.intp)
-    return linear_sum_assignment(block)[1]
-
-
 def _unique_within_window(
     costs: np.ndarray,
     rows: np.ndarray,
@@ -213,48 +205,12 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     return cols, _gather_total(costs, cols)
 
 
-def _row_tails(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The open-row screen's per-table sums: for r = 0..n, the sum over
-    rows r.. of each row's minimum and of its largest finite |cell|, each
-    summed from the last row up (0 at r = n)."""
+def _row_tails(costs: np.ndarray) -> np.ndarray:
+    """For each row r, the sum over rows r.. of each row's largest finite
+    |cell|, summed from the last row up: the later rows' share of the held
+    solves' rounding margin."""
     magnitude = np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1)
-    tail_min = np.append(np.cumsum(costs.min(axis=1)[::-1])[::-1], 0.0)
-    tail_magnitude = np.append(np.cumsum(magnitude[::-1])[::-1], 0.0)
-    return tail_min, tail_magnitude
-
-
-def _open_rows(
-    costs: np.ndarray,
-    window: float,
-    cols: np.ndarray,
-    first: int = 0,
-    tails: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Rows first.. of the scan, started from `cols`, that a smaller column
-    might enter: row r is open when some column below cols[r] that no
-    earlier row takes has prefix_r + cell + (the minima of rows r+1..)
-    within the window plus a float slack.
-
-    The row minima sum to a lower bound on any completion, so a closed row
-    has no column with a completion within the window.  The slack, 1e-12 of
-    the prefix and of each later row's largest finite |cell| plus the
-    window's tolerance, covers the rounding of either sum on tables of up
-    to some thousand rows; it is built from finite cells only, so a
-    forbidden (infinite) cell never opens a row.  `tails` are the table's
-    `_row_tails`, which a scan computes once.
-    """
-    n, m = costs.shape
-    tail_min, tail_magnitude = _row_tails(costs) if tails is None else tails
-    # the scan's own running sum: the same additions in the same order
-    prefix = np.append(0.0, np.cumsum(costs[np.arange(n - 1), cols[:-1]]))[first:]
-    slack = 1e-12 * (np.abs(prefix) + tail_magnitude[first + 1 :]) + _tol(window)
-    # column c is free at row r when no row up to r takes it; the bound
-    # rounds up with the cell, so the cheapest free smaller cell decides
-    taken_by = np.full(m, n)
-    taken_by[cols] = np.arange(n)
-    free = (taken_by > np.arange(first, n)[:, None]) & (np.arange(m) < cols[first:, None])
-    cheapest = np.where(free, costs[first:], np.inf).min(axis=1)
-    return prefix + cheapest + tail_min[first + 1 :] <= window + slack
+    return np.cumsum(magnitude[::-1])[::-1]
 
 
 def _row_entry(
@@ -276,20 +232,17 @@ def _row_entry(
     partition step of Murty's ranking of assignments (Murty 1968).  The
     range starts as every column below cols[r] and, while prefix + the held
     optimum is within the window plus `margin`, shrinks to the columns
-    below the one the solve chose.  The lowest column reached is taken with
-    the held solution as its completion when the canonical total of the
-    whole column tuple is within the window; when rounding at the window's
-    edge puts it past, the held solves run again over the columns above it.
-    Forbidden cells come in type blocks, so a finite cell in the range
-    always leaves a feasible solve.  The last row has no rows left to
-    solve: its own cell decides.
+    below the one the solve chose.  So a row none of whose smaller columns
+    completes within the window costs one held solve, and the last row's
+    held solves are one-row solves of its own cells.  The lowest column
+    reached is taken with the held solution as its completion when the
+    canonical total of the whole column tuple is within the window; when
+    rounding at the window's edge puts it past, the held solves run again
+    over the columns above it.  Forbidden cells come in type blocks, so a
+    finite cell in the range always leaves a feasible solve.
     """
     below = int(np.count_nonzero(avail_idx < cols[r]))
-    if r == len(cols) - 1:
-        for pos in np.flatnonzero(prefix + costs[r, avail_idx[:below]] <= window):
-            trial = np.append(cols[:r], avail_idx[pos])
-            if _gather_total(costs, trial) <= window:
-                return trial
+    if below == 0:
         return None
     block = costs[r:, avail_idx]
     cells = block[0].copy()
@@ -298,7 +251,7 @@ def _row_entry(
         if np.isfinite(cells[low:high]).any():
             block[0] = np.inf
             block[0, low:high] = cells[low:high]
-            held = _completion(block)
+            held = linear_sum_assignment(block)[1]
             if prefix + _gather_total(block, held) <= window + margin:
                 high, reached = int(held[0]), held
                 continue
@@ -316,27 +269,23 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
 
     Row r keeps cols[r] unless a smaller available column has a completion
     within the window; the first such completion becomes `cols`
-    (`_row_entry`), so `cols` never leaves the window.  One screen over the
-    whole table (`_open_rows`) skips the rows no smaller column can enter,
-    and marks the rows below again after a completion is taken.  The held
-    solves' margin is 4e-12 of the magnitudes in the sums, the prefix's
-    cells and each row's largest finite |cell| from row r on: it covers
-    rounding only, so a column the held solves skip has no completion
-    within the window, and the one they reach is judged by its canonical
-    total.
+    (`_row_entry`), so `cols` never leaves the window.  Held solves decide
+    every row that has a smaller available column; a row without one, or
+    whose smaller available cells are all forbidden, costs no solve.  Their
+    margin is 4e-12 of the magnitudes in the sums, the prefix's cells and
+    each row's largest finite |cell| from row r on (`_row_tails`): it
+    covers rounding only, so a column the held solves skip has no
+    completion within the window, and the one they reach is judged by its
+    canonical total.
     """
-    n, m = costs.shape
-    available = np.ones(m, dtype=bool)
+    available = np.ones(costs.shape[1], dtype=bool)
     prefix = prefix_size = 0.0
     tails = _row_tails(costs)
-    is_open = _open_rows(costs, window, cols, tails=tails)
-    for r in range(n):
-        if is_open[r]:
-            margin = 4e-12 * (prefix_size + tails[1][r])
-            trial = _row_entry(costs, window, cols, r, np.flatnonzero(available), prefix, margin)
-            if trial is not None:
-                cols = trial
-                is_open[r + 1 :] = _open_rows(costs, window, cols, r + 1, tails)
+    for r in range(len(cols)):
+        margin = 4e-12 * (prefix_size + tails[r])
+        trial = _row_entry(costs, window, cols, r, np.flatnonzero(available), prefix, margin)
+        if trial is not None:
+            cols = trial
         available[cols[r]] = False
         prefix += costs[r, cols[r]]
         prefix_size += abs(costs[r, cols[r]])

@@ -1,9 +1,10 @@
-"""Shared builders for small hand-made scenes."""
+"""Small hand-made scenes shared by the tests, and a spy on the row scan."""
 
 from __future__ import annotations
 
 import pytest
 
+from relabel import solver
 from relabel.partition import VoronoiSite
 from relabel.scene import (
     BoxDims,
@@ -77,3 +78,17 @@ def two_site_layout(bounds: SceneBounds) -> SceneLayout:
 def wide_camera() -> CameraState:
     """Sees the whole 10 x 10 scene from the south edge."""
     return CameraState(position=(5.0, 0.0), yaw=0.0, fov=170.0, range=30.0)
+
+
+@pytest.fixture
+def scans(monkeypatch) -> list[tuple[int, int]]:
+    """Shapes of the tables the row scan (`solver._scan_cols`) runs on."""
+    calls = []
+    scan = solver._scan_cols
+
+    def counting(costs, window, cols):
+        calls.append(costs.shape)
+        return scan(costs, window, cols)
+
+    monkeypatch.setattr(solver, "_scan_cols", counting)
+    return calls

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -161,6 +162,20 @@ class TestCostMatrix:
         objs = (make_object("a-01", 1, 1), make_object("a-01", 2, 2))
         with pytest.raises(SceneValidationError):
             build_cost_matrix((make_detection(1, 1),), objs, bounds, CostWeights(1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "w_t, w_r",
+        # each weight is finite, but the terms of a cell overflow; or every
+        # cell is finite, but two rows' cells sum past the largest float
+        [(1.7e308, 1.7e308), (1e308, 0.0)],
+        ids=["cell", "sum"],
+    )
+    def test_overflowing_weights_rejected_by_name(self, bounds, w_t, w_r):
+        detections = (make_detection(1.0, 2.0, 30.0), make_detection(1.5, 2.0, 30.0))
+        candidates = (make_object("a-01", 6.0, 8.0, 120.0), make_object("a-02", 7.0, 8.0))
+        weights = CostWeights(w_t=w_t, w_r=w_r)
+        with pytest.raises(SceneValidationError, match=re.escape(f"w_t={w_t!r}, w_r={w_r!r} make")):
+            build_cost_matrix(detections, candidates, bounds, weights)
 
     def test_empty_detections_allowed(self, bounds):
         matrix = build_cost_matrix((), (make_object("a-01", 1, 1),), bounds, CostWeights(1.0, 1.0))

@@ -40,6 +40,16 @@ class TestNoiseModel:
     def test_zero_noise_constant(self):
         assert ZERO_NOISE == NoiseModel()
 
+    def test_negative_sd_rejected_by_name(self):
+        with pytest.raises(SceneValidationError, match="noise r_sd must be >= 0, got -1.0"):
+            NoiseModel(r_sd=-1.0)
+
+    def test_negative_zero_sd_is_no_noise(self, two_site_layout):
+        # -0.0 >= 0, but numpy's normal rejects a scale whose sign bit is set
+        noise = NoiseModel(t_sd=-0.0, r_sd=-0.0)
+        assert noise == ZERO_NOISE and math.copysign(1.0, noise.t_sd) == 1.0
+        assert perturb_layout(two_site_layout, noise, 4) == two_site_layout
+
 
 class TestPerturb:
     def test_zero_noise_is_identity(self, two_site_layout):

@@ -254,8 +254,8 @@ class TestNearWindow:
 
     def test_scan_keeps_an_in_window_column(self):
         # row 0 moves to column 1 with the in-window completion (1, 3, 0, 4);
-        # at row 1 the only screened smaller column, 0, completes 100 past
-        # the optimum, so the scan keeps column 3, already in the window
+        # at row 1 the smaller free columns 0 and 2 complete 100 or more
+        # past the optimum, so the scan keeps column 3, already in the window
         totals = np.array(
             [
                 [200.000000003, 0, 0, 200, 100.00000002],
@@ -400,19 +400,6 @@ class TestDuplicateGroups:
     """The duplicate-group step: when sigma's columns have byte-equal twins
     (identical objects stacked on one pose), the certificate held to
     sigma's groups settles the tie without the row scan."""
-
-    @pytest.fixture
-    def scans(self, monkeypatch):
-        """Shapes of the tables the row scan runs on."""
-        calls = []
-        scan = solver._scan_cols
-
-        def counting(costs, window, cols):
-            calls.append(costs.shape)
-            return scan(costs, window, cols)
-
-        monkeypatch.setattr(solver, "_scan_cols", counting)
-        return calls
 
     @staticmethod
     def duplicate_heavy(rng, trial: int, shapes) -> tuple[np.ndarray, tuple, tuple]:
@@ -601,121 +588,64 @@ class TestRowScan:
         assert solver._scan_cols(costs, _tol(0.0), np.arange(4)).tolist() == [0, 1, 2, 3]
         assert lsa_calls == []
 
-    def test_last_row_makes_no_solve(self, lsa_calls):
-        # the last row has no rows after it: its smaller column is judged
-        # by its own cell alone, without a solve of an empty block
+    def test_last_row_makes_one_row_solve(self, lsa_calls):
+        # the last row has no rows after it: one held solve of its own
+        # cells reaches its smaller column
         costs = np.array([[0.0, 0.0, 5.0]])
         assert solver._scan_cols(costs, _tol(0.0), np.array([1])).tolist() == [0]
-        assert lsa_calls == []
+        assert lsa_calls == [(1, 3)]
 
-    def test_screen_solves_only_open_rows(self, lsa_calls):
+    def test_held_solves_decide_each_row(self, lsa_calls):
         # rows 0-3 have smaller free columns, but each costs 5 more than
-        # the window: only row 4 opens.  Its held solves reach column 6 at
-        # a total of 0, then find nothing in the window below it; column 6
-        # is taken with the held solution as its completion, and row 5's
-        # smaller columns cost 5 again: two held solves of rows 4-5
+        # the window: one failing held solve each.  Row 4's held solves
+        # reach column 6 at a total of 0, then find nothing in the window
+        # below it; column 6 is taken with the held solution as its
+        # completion, and row 5's one-row held solve fails on cost 5 again
         costs = np.full((6, 8), 5.0)
         costs[np.arange(4), np.arange(4) + 2] = 0.0
         costs[4:, 6:] = 0.0
         start = np.array([2, 3, 4, 5, 7, 6])
         assert solver._scan_cols(costs, _tol(0.0), start).tolist() == [2, 3, 4, 5, 6, 7]
-        assert lsa_calls == [(2, 4), (2, 4)]
+        assert lsa_calls == [(6, 8), (5, 7), (4, 6), (3, 5), (2, 4), (2, 4), (1, 3)]
 
     def test_held_solve_closes_a_screened_row(self, lsa_calls):
-        # row 0's smaller columns 0 and 1 both pass the row-minimum screen
+        # row 0's smaller columns 0 and 1 both pass a row-minimum bound
         # (0 + 0 + 0), but rows 1 and 2 need both: every completion costs
         # 5.  One held solve closes the row, where a solve per column would
-        # pay for two failing completions
+        # pay for two failing completions; rows 1 and 2 have no smaller
+        # free column and make no solve
         costs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [0.0, 0.0, 5.0]])
         start = np.array([2, 0, 1])
         window = _tol(0.0)
-        assert solver._open_rows(costs, window, start).tolist() == [True, False, False]
         assert all(costs[0, c] + costs[1:].min(axis=1).sum() <= window for c in (0, 1))
         assert solver._scan_cols(costs, window, start).tolist() == [2, 0, 1]
         assert lsa_calls == [(3, 3)]
 
-    @staticmethod
-    def exactly_closed(costs: np.ndarray, window: float, cols: np.ndarray, r: int) -> bool:
-        # the scan's exact screen at row r: every smaller free column has
-        # prefix + cell + the rest's optimum past the window
-        prefix = 0.0
-        for i in range(r):
-            prefix += costs[i, cols[i]]
-        avail_idx = np.setdiff1d(np.arange(costs.shape[1]), cols[:r])
-        smaller = avail_idx[avail_idx < cols[r]]
-        rest = costs[r + 1 :, avail_idx]
-        rest_value = solver._gather_total(rest, solver._completion(rest))
-        return bool(np.all(prefix + costs[r, smaller] + rest_value > window))
-
-    def near_window_tables(self, rng):
-        """Tie-heavy tables around the window's edge: TestNearWindow's
-        swaps, cells near 1e6 offset by 1e-9 of their size, and either kind
-        with typed blocks of forbidden cells."""
-        for trial in range(900):
-            if trial % 3 == 0:
-                ups = rng.choice([0.0, 0.5, 1.0, 1.5], size=2)
-                costs = TestNearWindow().table(rng, *ups)
-            else:
-                n = int(rng.integers(2, 6))
-                m = n + int(rng.integers(0, 3))
-                steps = rng.integers(0, 3, size=(n, m)) * rng.choice([0.5, 1.0, 2.0], size=(n, m))
-                costs = 1e6 * (1.0 + 1e-9 * steps)
-            if trial % 2:
-                n, m = costs.shape
-                det, cand = rng.integers(0, 2, size=n), rng.integers(0, 2, size=m)
-                cand[rng.permutation(m)[:n]] = det
-                costs = np.where(det[:, None] != cand[None, :], np.inf, costs)
-            yield costs
-
-    def test_screen_is_sound(self):
-        # started from any in-window assignment, as the scan is after a
-        # completion, a row the screen closes has no smaller free column
-        # that passes the exact screen
-        rng = np.random.default_rng(47)
-        closed = 0
-        for costs in self.near_window_tables(rng):
-            n, m = costs.shape
-            _, sigma = linear_sum_assignment(costs)
-            best = solver._gather_total(costs, sigma)
-            window = best + _tol(best)
-            perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
-            totals = costs[np.arange(n)[None, :], perms].sum(axis=1)
-            starts = perms[totals <= window]
-            for start in starts[rng.permutation(len(starts))[:12]]:
-                is_open = solver._open_rows(costs, window, start)
-                for r in np.flatnonzero(~is_open):
-                    if np.setdiff1d(np.arange(start[r]), start[:r]).size:
-                        assert self.exactly_closed(costs, window, start, r)
-                        closed += 1
-        assert closed >= 1000
-
-    def test_screen_keeps_an_edge_row_open(self):
+    def test_scan_takes_an_edge_column(self):
         # row 0's column 0 completes exactly on the window's edge when the
-        # rest is summed in row order, (1 + u) + u == 1 with u = 2^-53, but
-        # the row minima summed from the last row, (u + u) + 1, round one
-        # ulp past it: the slack keeps the row open
+        # completion is summed in row order, (1 + u) + u == 1 with
+        # u = 2^-53, though the row minima summed from the last row,
+        # (u + u) + 1, round one ulp past it: the scan takes the column
         u = 2.0**-53
         costs = np.full((4, 5), 5.0)
         costs[0, :2] = 0.0
         costs[[1, 2, 3], [2, 3, 4]] = (1.0, u, u)
+        assert (u + u) + 1.0 > 1.0
         start = np.array([1, 2, 3, 4])
-        assert self.exactly_closed(costs, 1.0, start, 0) is False
-        assert solver._open_rows(costs, 1.0, start)[0]
         assert solver._scan_cols(costs, 1.0, start).tolist() == [0, 2, 3, 4]
 
     def test_forbidden_cells_open_no_row(self, lsa_calls):
         # typed twins: every row's smaller free columns are of the other
-        # type, so no row opens and the scan makes no solve
+        # type, so no held solve runs
         costs = np.zeros((3, 6))
         costs[:, :3] = np.inf
         start = np.array([3, 4, 5])
-        assert not solver._open_rows(costs, _tol(0.0), start).any()
         assert solver._scan_cols(costs, _tol(0.0), start).tolist() == [3, 4, 5]
         assert lsa_calls == []
 
     def test_typed_twins_match_oracle(self):
         # pairs of identical objects per type: exact ties inside each type,
-        # forbidden cells across types, which open no row
+        # forbidden cells across types, which no held solve may take
         rng = np.random.default_rng(53)
         for _ in range(300):
             k = int(rng.integers(1, 5))
@@ -723,12 +653,6 @@ class TestRowScan:
             totals = np.repeat(poses, 2, axis=1)[:, rng.permutation(2 * k)]
             types = tuple(rng.choice(["chair", "table"], size=2 * k).tolist())
             detections = tuple(rng.permutation(types)[:k].tolist())
-            costs = np.where(np.array(detections)[:, None] != np.array(types), np.inf, totals)
-            _, sigma = linear_sum_assignment(costs)
-            best = solver._gather_total(costs, sigma)
-            for r in np.flatnonzero(solver._open_rows(costs, best + _tol(best), sigma)):
-                free = np.setdiff1d(np.arange(sigma[r]), sigma[:r])
-                assert np.isfinite(costs[r, free]).any()
             assert_matches_oracle(
                 AssignmentProblem(
                     matrix_from(totals, detection_types=detections, candidate_types=types),
