@@ -162,6 +162,10 @@ class CostMatrix:
             if arr.size and not np.isfinite(arr).all():
                 raise SceneValidationError(f"cost array '{name}' contains non-finite cells")
             arr.flags.writeable = False
+        # the solver sums up to one cell per row, and its tie window and
+        # margins add a little more: twice every row at the largest |cell|
+        if not math.isfinite(float(np.abs(self.total).max(initial=0.0)) * 2.0 * n):
+            raise SceneValidationError("cost array 'total' has cells whose sums overflow")
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -78,29 +78,12 @@ class SiteProbabilities:
     of `entries`; the non-containing entries are sorted by descending
     probability (ties by ascending site id), sum to 1, and carry running
     cumulative sums.  A single-site scene has no entries at all.
+    `site_probabilities` builds it so; one built by hand is not checked.
     """
 
     containing_site: str
     containing_distance: float
     entries: tuple[SiteEntry, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.containing_site:
-            raise PartitionError("containing site id must be non-empty")
-        if self.entries:
-            total = sum(e.probability for e in self.entries)
-            if abs(total - 1.0) > 1e-9:
-                raise PartitionError(f"non-containing probabilities must sum to 1, got {total}")
-            if abs(self.entries[-1].cumulative - 1.0) > 1e-9:
-                raise PartitionError("cumulative sums must end at 1")
-            running = 0.0
-            for prev, entry in zip((None, *self.entries), self.entries):
-                if prev is not None and entry.probability > prev.probability + 1e-12:
-                    raise PartitionError("entries must be sorted by descending probability")
-                running += entry.probability
-                if abs(entry.cumulative - running) > 1e-9:
-                    raise PartitionError("cumulative must be the running probability sum")
 
 
 def validate_threshold(threshold: float) -> float:
@@ -216,12 +199,9 @@ def _site_membership(layout: SceneLayout) -> np.ndarray:
     if membership is None:
         from .scene import layout_arrays  # scene imports this module
 
-        index = {s.id: i for i, s in enumerate(layout.sites)}
+        sites = layout.sites  # validated by the layout
         membership = np.array(
-            [
-                index[containing_site((o.pose.x, o.pose.z), layout.sites)]
-                for o in layout_arrays(layout).objects
-            ],
+            [_nearest((o.pose.x, o.pose.z), sites)[0] for o in layout_arrays(layout).objects],
             dtype=np.intp,
         )
         membership.flags.writeable = False
@@ -231,7 +211,7 @@ def _site_membership(layout: SceneLayout) -> np.ndarray:
 
 def candidate_rows(layout: SceneLayout, selected_sites: set[str]) -> np.ndarray:
     """Rows of the layout's array view (`scene.layout_arrays`, label order)
-    whose object falls in a selected site's cell.
+    whose object falls in a selected site's cell, read-only.
 
     Membership always uses the layout's full site set, so pruning never
     reassigns an object to a different cell.
@@ -243,7 +223,9 @@ def candidate_rows(layout: SceneLayout, selected_sites: set[str]) -> np.ndarray:
     if unknown:
         raise PartitionError(f"unknown site ids: {sorted(unknown)}")
     selected = np.array([site_id in selected_sites for site_id in ids])
-    return np.flatnonzero(selected[_site_membership(layout)])
+    rows = np.flatnonzero(selected[_site_membership(layout)])
+    rows.flags.writeable = False
+    return rows
 
 
 def candidate_labels(layout: SceneLayout, selected_sites: set[str]) -> tuple[ObjectInstance, ...]:

@@ -277,13 +277,6 @@ class Observation:
         object.__setattr__(self, "detections", tuple(self.detections))
 
 
-def bearing_deg(from_xz: tuple[float, float], to_xz: tuple[float, float]) -> float:
-    """Bearing of `to` as seen from `from`, in the camera yaw convention."""
-    dx = to_xz[0] - from_xz[0]
-    dz = to_xz[1] - from_xz[1]
-    return normalize_yaw(math.degrees(math.atan2(dx, dz)))
-
-
 def is_visible(camera: CameraState, pose: PlanarPose) -> bool:
     """Center-point visibility: within range and within the half-FOV wedge."""
     dx = pose.x - camera.position[0]

@@ -106,10 +106,7 @@ def _tol(value: float) -> float:
 
 def _gather_total(costs: np.ndarray, cols: np.ndarray) -> float:
     # single np.sum over cells in detection order: the canonical total
-    n = len(cols)
-    if n == 0:
-        return 0.0
-    return float(np.sum(costs[np.arange(n), cols]))
+    return float(np.sum(costs[np.arange(len(cols)), cols]))
 
 
 def _unique_within_window(
@@ -394,14 +391,6 @@ def _is_feasible(
     return not category_separated or _type_shortfall(detection_types, candidate_types) is None
 
 
-def _pool_rows(layout: SceneLayout, sites: set[str]) -> np.ndarray:
-    """The candidate pool of the sites' cells as read-only rows of the
-    layout's array view."""
-    rows = candidate_rows(layout, sites)
-    rows.flags.writeable = False
-    return rows
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class PreparedProblem:
     """A pruned, costed assignment instance ready to solve."""
@@ -421,7 +410,8 @@ class StopPlan:
     of the layout's array view (`rows`, label order) and as the view of
     those rows (`pool`).  Build it once with `plan_stop`, then `prepare`
     each observation from that stop, or `prepare_rows` each detection set
-    whose costs are already rows of a table (see `prepare_rows`)."""
+    whose costs are already rows of a table (see `prepare_rows`).  Every
+    plan, re-admitting ones included, comes from `_plan_at`."""
 
     layout: SceneLayout
     camera: CameraState
@@ -439,34 +429,21 @@ class StopPlan:
     def _admit(
         self, detection_types: tuple[str | None, ...], category_separated: bool
     ) -> StopPlan:
-        """This plan when its pool can take the detections; otherwise a copy
-        that re-admits sites one at a time in probability order until the
-        instance becomes feasible or every site is kept.  The copy's
-        effective threshold is the cumulative probability actually covered.
-        The plan itself never changes."""
+        """This plan when its pool can take the detections; otherwise the
+        plan that re-admits sites one at a time in probability order until
+        the instance becomes feasible or every site is kept.  Its effective
+        threshold is the cumulative probability actually covered.  The plan
+        itself never changes."""
         if category_separated:
             _require_typed(detection_types)
-        view, rows, types = layout_arrays(self.layout), self.rows, self.pool.types
-        entries = self.probabilities.entries
-        start = depth = len(self.kept_site_ids) - 1  # how many ranked entries are included
-        readmitted = set(self.kept_site_ids)
+        plan, depth = self, len(self.kept_site_ids) - 1
         while (
-            not _is_feasible(detection_types, types, category_separated)
-            and depth < len(entries)
+            not _is_feasible(detection_types, plan.pool.types, category_separated)
+            and depth < len(self.probabilities.entries)
         ):
-            readmitted.add(entries[depth].site_id)
             depth += 1
-            rows = _pool_rows(self.layout, readmitted)
-            types = tuple([view.types[i] for i in rows.tolist()])
-        if depth == start:
-            return self
-        return dataclasses.replace(
-            self,
-            kept_site_ids=frozenset(readmitted),
-            effective_threshold=entries[depth - 1].cumulative,
-            rows=rows,
-            pool=view.take(rows),
-        )
+            plan = _plan_at(self.layout, self.camera, self.threshold, self.probabilities, depth)
+        return plan
 
     def _prepared(self, matrix: CostMatrix, category_separated: bool) -> PreparedProblem:
         return PreparedProblem(
@@ -532,23 +509,37 @@ class StopPlan:
         return plan._prepared(matrix, category_separated)
 
 
+def _plan_at(
+    layout: SceneLayout,
+    camera: CameraState,
+    threshold: float,
+    probabilities: SiteProbabilities,
+    depth: int,
+) -> StopPlan:
+    """The plan that keeps the containing site and the first `depth`
+    ranked sites; its effective threshold is the last kept entry's
+    cumulative probability, 0.0 when it keeps the containing site alone."""
+    entries = probabilities.entries[:depth]
+    kept = frozenset([probabilities.containing_site, *[e.site_id for e in entries]])
+    rows = candidate_rows(layout, kept)
+    return StopPlan(
+        layout=layout,
+        camera=camera,
+        threshold=threshold,
+        probabilities=probabilities,
+        kept_site_ids=kept,
+        effective_threshold=entries[-1].cumulative if entries else 0.0,
+        rows=rows,
+        pool=layout_arrays(layout).take(rows),
+    )
+
+
 def plan_stop(layout: SceneLayout, camera: CameraState, threshold: float = 1.0) -> StopPlan:
     """Rank the layout's sites around the camera, prune them at the
     threshold, and take the candidate pool of the kept sites."""
     probabilities = site_probabilities(camera, layout.sites)
-    kept = prune_sites(probabilities, threshold)
-    depth = len(kept) - 1  # how many ranked entries are included
-    rows = _pool_rows(layout, kept)
-    return StopPlan(
-        layout=layout,
-        camera=camera,
-        threshold=float(threshold),
-        probabilities=probabilities,
-        kept_site_ids=frozenset(kept),
-        effective_threshold=probabilities.entries[depth - 1].cumulative if depth else 0.0,
-        rows=rows,
-        pool=layout_arrays(layout).take(rows),
-    )
+    depth = len(prune_sites(probabilities, threshold)) - 1  # ranked entries kept
+    return _plan_at(layout, camera, float(threshold), probabilities, depth)
 
 
 def prepare_problem(

@@ -177,6 +177,21 @@ class TestCostMatrix:
         with pytest.raises(SceneValidationError, match=re.escape(f"w_t={w_t!r}, w_r={w_r!r} make")):
             build_cost_matrix(detections, candidates, bounds, weights)
 
+    @pytest.mark.parametrize("cell", [1e308, -1e308])
+    def test_overflowing_sums_rejected_by_name(self, cell):
+        # every cell is finite, but the solver's sums of two rows are not
+        total = np.full((2, 2), cell)
+        with pytest.raises(SceneValidationError, match="'total' has cells whose sums overflow"):
+            costs.CostMatrix(
+                candidates=("a-01", "a-02"),
+                candidate_types=("chair", "chair"),
+                detection_types=(None, None),
+                c_t=np.zeros((2, 2)),
+                c_r=np.zeros((2, 2)),
+                c_d=np.ones((2, 2)),
+                total=total,
+            )
+
     def test_empty_detections_allowed(self, bounds):
         matrix = build_cost_matrix((), (make_object("a-01", 1, 1),), bounds, CostWeights(1.0, 1.0))
         assert matrix.shape == (0, 1)

@@ -106,21 +106,29 @@ class TestProbabilities:
         assert sp.entries[0].probability == 1.0
         assert sp.entries[1].probability == 0.0
 
+    COORD = st.one_of(st.integers(-50, 50).map(float), st.floats(min_value=-50, max_value=50))
+
     @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=-50, max_value=50),
-                st.floats(min_value=-50, max_value=50),
-            ),
-            min_size=2,
-            max_size=8,
-            unique=True,
-        ),
-        st.floats(min_value=-50, max_value=50),
-        st.floats(min_value=-50, max_value=50),
+        st.lists(st.tuples(COORD, COORD), min_size=2, max_size=8, unique=True),
+        COORD,
+        COORD,
+        st.data(),
     )
-    def test_probability_invariants(self, centers, x, z):
-        sp = site_probabilities(camera_at(x, z), sites_at(*centers))
+    def test_probability_invariants(self, centers, x, z, data):
+        # tied sites: copies of drawn centres, and centres mirrored about the
+        # camera (an exact tie when the coordinates are integers)
+        picks = st.lists(st.sampled_from(centers), max_size=3)
+        centers = centers + data.draw(picks, label="copies")
+        centers += [(2.0 * x - cx, 2.0 * z - cz) for cx, cz in data.draw(picks, label="mirrored")]
+        sites = sites_at(*data.draw(st.permutations(centers), label="order"))
+        sp = site_probabilities(camera_at(x, z), sites)
+        ids = [e.site_id for e in sp.entries]
+        assert sp.containing_site not in ids
+        assert sorted([sp.containing_site, *ids]) == [s.id for s in sites]
+        for prev, e in zip(sp.entries, sp.entries[1:]):
+            assert e.probability <= prev.probability
+            if e.probability == prev.probability:
+                assert e.site_id > prev.site_id
         assert math.isclose(sum(e.probability for e in sp.entries), 1.0, abs_tol=1e-9)
         assert math.isclose(sp.entries[-1].cumulative, 1.0, abs_tol=1e-9)
         running = 0.0
@@ -311,12 +319,13 @@ class TestMembershipMemo:
 
     def test_membership_computed_once_per_object(self, two_site_layout, monkeypatch):
         calls = []
+        nearest = partition._nearest
 
         def counting(position, sites):
             calls.append(position)
-            return containing_site(position, sites)
+            return nearest(position, sites)
 
-        monkeypatch.setattr(partition, "containing_site", counting)
+        monkeypatch.setattr(partition, "_nearest", counting)
         candidate_labels(two_site_layout, {"S01"})
         candidate_labels(two_site_layout, {"S01", "S02"})
         assert len(calls) == len(two_site_layout.objects)

@@ -21,7 +21,6 @@ from relabel.scene import (
     SceneLayout,
     SceneParseError,
     SceneValidationError,
-    bearing_deg,
     is_visible,
     layout_arrays,
     load_scene,
@@ -105,11 +104,13 @@ class TestLayout:
 
 class TestVisibility:
     def test_bearing_convention(self):
-        # yaw 0 faces +z; +x is at 90 degrees
-        assert bearing_deg((0, 0), (0, 1)) == 0.0
-        assert bearing_deg((0, 0), (1, 0)) == 90.0
-        assert bearing_deg((0, 0), (0, -1)) == 180.0
-        assert bearing_deg((0, 0), (-1, 0)) == 270.0
+        # yaw 0 faces +z; +x is at 90 degrees: a narrow camera at each yaw
+        # sees the object in that direction and none of the other three
+        ahead = {0.0: (0.0, 1.0), 90.0: (1.0, 0.0), 180.0: (0.0, -1.0), 270.0: (-1.0, 0.0)}
+        for yaw in ahead:
+            cam = CameraState(position=(0.0, 0.0), yaw=yaw, fov=2.0, range=10.0)
+            seen = [at for at, (x, z) in ahead.items() if is_visible(cam, PlanarPose(x, z, 0.0))]
+            assert seen == [yaw]
 
     def test_inside_fov_and_range(self):
         cam = CameraState(position=(0.0, 0.0), yaw=0.0, fov=60.0, range=10.0)

@@ -20,7 +20,7 @@ from relabel.costs import (
     score_arrays,
 )
 from relabel.noise import NoiseModel, derive_seed, perturb_layout
-from relabel.partition import VoronoiSite
+from relabel.partition import VoronoiSite, candidate_rows, prune_sites, site_probabilities
 from relabel.path import camera_stops
 from relabel.scene import (
     CameraState,
@@ -969,6 +969,27 @@ class TestStopPlan:
                 self.assert_same(reused, fresh, observation, layout)
                 readmitted += reused.kept_site_ids > plan.kept_site_ids
         assert readmitted
+
+    @pytest.mark.parametrize("archetype", [*sorted(ARCHETYPES), "S2000", "two-site"])
+    def test_plan_prunes_like_public_functions(self, archetype, two_site_layout):
+        if archetype == "two-site":
+            # (5, 5) is exactly 3 m from both sites
+            layout, cameras = two_site_layout, [CameraState(position=(5.0, 5.0), yaw=0.0)]
+        else:
+            layout = generate_scene(S2000 if archetype == "S2000" else archetype, 0)
+            cameras = list(camera_stops(patrol_route(layout)))[:: 50 if archetype == "S2000" else 1]
+            (ax, az), (bx, bz) = layout.sites[0].center, layout.sites[1].center
+            cameras.append(CameraState(position=((ax + bx) / 2, (az + bz) / 2), yaw=0.0))
+        cameras.append(CameraState(position=layout.sites[-1].center, yaw=0.0))
+        for threshold in (0.0, 0.25, 1.0):
+            for camera in cameras:
+                plan = plan_stop(layout, camera, threshold)
+                ranking = site_probabilities(camera, layout.sites)
+                kept = prune_sites(ranking, threshold)
+                assert plan.kept_site_ids == kept
+                cumulative = [e.cumulative for e in ranking.entries if e.site_id in kept]
+                assert plan.effective_threshold == (cumulative[-1] if cumulative else 0.0)
+                assert plan.rows.tobytes() == candidate_rows(layout, kept).tobytes()
 
     def test_readmitting_cell_leaves_plan_unchanged(self, clustered_layout):
         # the containing cell holds three candidates: four detections make
