@@ -151,19 +151,22 @@ def _assign_report(args: argparse.Namespace) -> tuple[str, dict]:
     lines = [f"{'detection':>9}  {'label':<16} {'c_t':>10} {'c_r':>10} {'c_d':>10} {'total':>10}"]
     pair_docs = []
     for i, label in result.pairs:
-        cell = matrix.cell(i, column[label])
+        j = column[label]
+        c_t = float(matrix.c_t[i, j])
+        c_r = float(matrix.c_r[i, j])
+        c_d = float(matrix.c_d[i, j])
+        total = float(matrix.total[i, j])
         lines.append(
-            f"{i:>9}  {label:<16} {cell.c_t:>10.6f} {cell.c_r:>10.6f} "
-            f"{cell.c_d:>10.6f} {cell.total:>10.6f}"
+            f"{i:>9}  {label:<16} {c_t:>10.6f} {c_r:>10.6f} {c_d:>10.6f} {total:>10.6f}"
         )
         pair_docs.append(
             {
                 "detection": i,
                 "label": label,
-                "c_t": cell.c_t,
-                "c_r": cell.c_r,
-                "c_d": cell.c_d,
-                "total": cell.total,
+                "c_t": c_t,
+                "c_r": c_r,
+                "c_d": c_d,
+                "total": total,
             }
         )
     lines.append(

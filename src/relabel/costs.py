@@ -125,16 +125,6 @@ def pair_cost(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class CostBreakdown:
-    """Per-term view of one detection/candidate cell."""
-
-    c_t: float
-    c_r: float
-    c_d: float
-    total: float
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class CostMatrix:
     """Dense N x M cost table from N detections to M candidate labels.
@@ -170,14 +160,6 @@ class CostMatrix:
     @property
     def shape(self) -> tuple[int, int]:
         return self.total.shape
-
-    def cell(self, row: int, col: int) -> CostBreakdown:
-        return CostBreakdown(
-            c_t=float(self.c_t[row, col]),
-            c_r=float(self.c_r[row, col]),
-            c_d=float(self.c_d[row, col]),
-            total=float(self.total[row, col]),
-        )
 
 
 def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:

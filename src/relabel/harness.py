@@ -34,7 +34,7 @@ import numpy as np
 
 from .costs import CostMatrix, CostWeights, default_weights, score_arrays
 from .noise import NoiseModel, derive_seed, perturb_layout
-from .partition import validate_threshold
+from .partition import _left_sum, validate_threshold
 from .path import CameraPath, camera_stops
 from .scene import (
     SceneLayout,
@@ -43,7 +43,7 @@ from .scene import (
     synthesize_observation,
     visible_objects,
 )
-from .solver import InfeasibleAssignmentError, StopPlan, plan_stop, solve
+from .solver import StopPlan, plan_stop, solve
 
 CSV_COLUMNS = (
     "scene",
@@ -83,10 +83,8 @@ def default_t_list(area: float) -> tuple[float, ...]:
 class StopRecord:
     """Outcome of resolving one camera stop under one noise condition.
 
-    accuracy is None when the stop had no detections to score; correct,
-    accuracy, and solve_ms are all None when the instance could not be
-    solved.  rep identifies the repetition in memory only; it is not a CSV
-    column.
+    accuracy is None when the stop had no detections to score.  rep
+    identifies the repetition in memory only; it is not a CSV column.
     """
 
     scene: str
@@ -95,11 +93,11 @@ class StopRecord:
     stop: int
     n: int
     m: int
-    correct: int | None
+    correct: int
     accuracy: float | None
-    solve_ms: float | None
+    solve_ms: float
     threshold: float
-    effective_threshold: float | None
+    effective_threshold: float
     rep: int = 0
 
 
@@ -175,6 +173,9 @@ def score_stop(
     Ground truth is carried through the simulation: detections are emitted
     in label-sorted order of the perturbed objects, so detection i is
     correct iff it receives the label at position i of that order.
+
+    The stop is always feasible: the plan re-admits sites up to every site
+    of the layout, and a perturbation keeps every label and type.
     """
     camera, name, threshold = plan.camera, plan.layout.name, plan.threshold
     observation = synthesize_observation(perturbed, camera)
@@ -184,15 +185,9 @@ def score_stop(
     rows = np.array([bisect.bisect_left(labels, label) for label in truth], dtype=np.intp)
     prepared = plan.prepare_rows(table, rows, category_separated)
     m = len(prepared.candidates)
-    try:
-        start = time.perf_counter()
-        result = solve(prepared.problem)
-        solve_ms = (time.perf_counter() - start) * 1000.0
-    except InfeasibleAssignmentError:
-        return StopRecord(
-            name, a, b, stop, n, m, None, None, None, threshold,
-            prepared.effective_threshold, rep,
-        )
+    start = time.perf_counter()
+    result = solve(prepared.problem)
+    solve_ms = (time.perf_counter() - start) * 1000.0
     mapping = result.mapping
     correct = sum(1 for i, label in enumerate(truth) if mapping.get(i) == label)
     accuracy = correct / n if n else None
@@ -270,8 +265,8 @@ def run_threshold_sweep(
 # Accuracy means are two-stage: first the mean over the stops of one
 # (scene, a, b, rep, threshold) cell, then the mean over cells, so a cell
 # with many stops or detections does not outweigh a sparse one.  Stops with
-# no detections and unsolved stops never enter accuracy aggregation; groups
-# with no scored rows are omitted.
+# no detections never enter accuracy aggregation; groups with no scored rows
+# are omitted.
 # ---------------------------------------------------------------------------
 
 
@@ -304,11 +299,15 @@ class ThresholdSummary:
 _CellKey = tuple[str, float, float, int, float]
 
 
+def _mean(values: list[float]) -> float:
+    return _left_sum(values) / len(values)
+
+
 def _cell_means(result: SweepResult) -> dict[_CellKey, float]:
     sums: dict[_CellKey, list[float]] = {}
     for r in result.scored():
         sums.setdefault((r.scene, r.a, r.b, r.rep, r.threshold), []).append(r.accuracy)
-    return {key: sum(v) / len(v) for key, v in sums.items()}
+    return {key: _mean(v) for key, v in sums.items()}
 
 
 def _translation_rows(result: SweepResult) -> tuple[TranslationSummary, ...]:
@@ -316,7 +315,7 @@ def _translation_rows(result: SweepResult) -> tuple[TranslationSummary, ...]:
     for (scene, a, _b, _rep, _t), value in sorted(_cell_means(result).items()):
         groups.setdefault((scene, a), []).append(value)
     return tuple(
-        TranslationSummary(scene=scene, a=a, mean_accuracy=sum(v) / len(v), cells=len(v))
+        TranslationSummary(scene=scene, a=a, mean_accuracy=_mean(v), cells=len(v))
         for (scene, a), v in sorted(groups.items())
     )
 
@@ -331,7 +330,7 @@ def _rotation_rows(result: SweepResult) -> tuple[RotationSummary, ...]:
         if a >= 1.0 - 1e-9:
             groups.setdefault((scene, "high", b), []).append(value)
     return tuple(
-        RotationSummary(scene=scene, band=band, b=b, mean_accuracy=sum(v) / len(v), cells=len(v))
+        RotationSummary(scene=scene, band=band, b=b, mean_accuracy=_mean(v), cells=len(v))
         for (scene, band, b), v in sorted(groups.items())
     )
 
@@ -344,19 +343,17 @@ def _threshold_rows(result: SweepResult) -> tuple[ThresholdSummary, ...]:
         candidates.setdefault(r.threshold, []).append(float(r.m))
         if r.accuracy is not None:
             accuracy.setdefault(r.threshold, []).append(r.accuracy)
-        if r.solve_ms is not None and r.n > 0:
             timing.setdefault(r.threshold, []).append(r.solve_ms)
     rows = []
     for threshold in sorted(accuracy):
         acc = accuracy[threshold]
-        ms = timing.get(threshold, [])
         cand = candidates[threshold]
         rows.append(
             ThresholdSummary(
                 threshold=threshold,
-                mean_accuracy=sum(acc) / len(acc),
-                mean_candidates=sum(cand) / len(cand),
-                mean_solve_ms=sum(ms) / len(ms) if ms else math.nan,
+                mean_accuracy=_mean(acc),
+                mean_candidates=_mean(cand),
+                mean_solve_ms=_mean(timing[threshold]),
                 stops=len(acc),
             )
         )

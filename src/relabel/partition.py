@@ -11,7 +11,9 @@ their cumulative probability first reaches the threshold.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +35,13 @@ __all__ = [
     "candidate_rows",
     "candidate_labels",
 ]
+
+
+def _left_sum(values) -> float:
+    """Floats added left to right, as the built-in `sum` added them before
+    Python 3.12 made it compensated: a total keeps its bits on every
+    supported Python."""
+    return functools.reduce(operator.add, values, 0.0)
 
 
 class PartitionError(ValueError):
@@ -156,7 +165,7 @@ def site_probabilities(
             probs = [1.0 / n_zero if z else 0.0 for z in zero]
         else:
             inv = [1.0 / d for d in dists]
-            total = sum(inv)
+            total = _left_sum(inv)
             probs = [v / total for v in inv]
         order = sorted(zip(others, dists, probs), key=lambda t: (-t[2], t[0].id))
         cumulative = 0.0

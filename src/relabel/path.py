@@ -16,9 +16,9 @@ from pathlib import Path
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from .partition import _left_sum
 from .scene import (
     CameraState,
-    SceneParseError,
     SceneValidationError,
     _entries,
     _get,
@@ -41,12 +41,8 @@ MAX_STOPS = 100_000
 
 
 def _as_point(value, what: str) -> Point:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise SceneParseError(f"'{what}' must be a pair [x, z]")
-    x, z = float(value[0]), float(value[1])
-    if not (math.isfinite(x) and math.isfinite(z)):
-        raise SceneValidationError(f"'{what}' must be finite, got ({x}, {z})")
-    return x, z
+    x, z = _pair(value, what)
+    return _require_finite(x, f"{what}.x"), _require_finite(z, f"{what}.z")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,7 +110,7 @@ def segment_lengths(path: CameraPath) -> tuple[float, ...]:
 
 
 def path_length(path: CameraPath) -> float:
-    return sum(segment_lengths(path))
+    return _left_sum(segment_lengths(path))
 
 
 def _param_at_arc(segment: BezierSegment, target: float, seg_length: float) -> float:
@@ -132,7 +128,6 @@ def _locate(path: CameraPath, lengths: tuple[float, ...], s: float) -> tuple[Bez
         if remaining <= seg_len or segment is path.segments[-1]:
             return segment, _param_at_arc(segment, remaining, seg_len)
         remaining -= seg_len
-    return path.segments[-1], 1.0
 
 
 def _tangent_yaw(segment: BezierSegment, t: float, previous: float) -> float:
@@ -147,7 +142,7 @@ def _tangent_yaw(segment: BezierSegment, t: float, previous: float) -> float:
 def pose_at_arc(path: CameraPath, s: float) -> tuple[Point, float]:
     """(position, yaw) at arc length s from the start of the route."""
     lengths = segment_lengths(path)
-    total = sum(lengths)
+    total = _left_sum(lengths)
     segment, t = _locate(path, lengths, min(max(s, 0.0), total))
     return segment.point(t), _tangent_yaw(segment, t, 0.0)
 
@@ -183,7 +178,7 @@ def camera_stops(
     if _require_finite(frame_rate, "frame rate") <= 0.0:
         raise SceneValidationError(f"frame rate must be > 0, got {frame_rate}")
     lengths = segment_lengths(path)
-    total = sum(lengths)
+    total = _left_sum(lengths)
     if not 0.0 < total < math.inf:
         raise SceneValidationError(f"path length must be finite and > 0, got {total}")
     # finite speed and interval can still overflow to an infinite spacing
@@ -259,7 +254,7 @@ def path_to_dict(path: CameraPath) -> dict:
 def path_from_dict(doc: dict) -> CameraPath:
     corners = ("p0", "p1", "p2", "p3")
     segments = [
-        BezierSegment(*(_pair(_get(seg_doc, k, ctx), f"{ctx}.{k}") for k in corners))
+        BezierSegment(*(_as_point(_get(seg_doc, k, ctx), f"{ctx}.{k}") for k in corners))
         for ctx, seg_doc in _entries(doc, "segments")
     ]
     return CameraPath(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import make_rng
-from .partition import VoronoiSite
+from .partition import VoronoiSite, _left_sum
 from .path import CameraPath, catmull_rom_loop, circle_path
 from .scene import (
     BoxDims,
@@ -196,7 +196,7 @@ def patrol_route(
         px, pz = -(z1 - z0) / d * d / 4.0, (x1 - x0) / d * d / 4.0
         waypoints = ((x0, z0), (mx + px, mz + pz), (x1, z1), (mx - px, mz - pz))
         return catmull_rom_loop(waypoints, speed=speed, stop_interval=stop_interval)
-    cx = sum(c[0] for c in centers) / len(centers)
-    cz = sum(c[1] for c in centers) / len(centers)
+    cx = _left_sum(c[0] for c in centers) / len(centers)
+    cz = _left_sum(c[1] for c in centers) / len(centers)
     ordered = tuple(sorted(centers, key=lambda c: (math.atan2(c[1] - cz, c[0] - cx), c)))
     return catmull_rom_loop(ordered, speed=speed, stop_interval=stop_interval)

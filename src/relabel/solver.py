@@ -74,7 +74,8 @@ class BruteForceBoundError(AssignmentError):
 
 @dataclass(frozen=True, slots=True, eq=False)
 class AssignmentProblem:
-    """A costed instance plus the per-type decomposition flag."""
+    """A costed instance, and whether a detection may take only labels of
+    its own type (category separation)."""
 
     matrix: CostMatrix
     category_separated: bool = False
@@ -202,14 +203,6 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     return cols, _gather_total(costs, cols)
 
 
-def _row_tails(costs: np.ndarray) -> np.ndarray:
-    """For each row r, the sum over rows r.. of each row's largest finite
-    |cell|, summed from the last row up: the later rows' share of the held
-    solves' rounding margin."""
-    magnitude = np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1)
-    return np.cumsum(magnitude[::-1])[::-1]
-
-
 def _row_entry(
     costs: np.ndarray,
     window: float,
@@ -269,23 +262,21 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
     (`_row_entry`), so `cols` never leaves the window.  Held solves decide
     every row that has a smaller available column; a row without one, or
     whose smaller available cells are all forbidden, costs no solve.  Their
-    margin is 4e-12 of the magnitudes in the sums, the prefix's cells and
-    each row's largest finite |cell| from row r on (`_row_tails`): it
-    covers rounding only, so a column the held solves skip has no
-    completion within the window, and the one they reach is judged by its
-    canonical total.
+    margin is 4e-12 of the sum of every row's largest finite |cell|, which
+    bounds the magnitude of every sum a held solve is judged by: it covers
+    rounding only, so a column the held solves skip has no completion
+    within the window, and the one they reach is judged by its canonical
+    total.
     """
+    margin = 4e-12 * float(np.where(np.isfinite(costs), np.abs(costs), 0.0).max(axis=1).sum())
     available = np.ones(costs.shape[1], dtype=bool)
-    prefix = prefix_size = 0.0
-    tails = _row_tails(costs)
+    prefix = 0.0
     for r in range(len(cols)):
-        margin = 4e-12 * (prefix_size + tails[r])
         trial = _row_entry(costs, window, cols, r, np.flatnonzero(available), prefix, margin)
         if trial is not None:
             cols = trial
         available[cols[r]] = False
         prefix += costs[r, cols[r]]
-        prefix_size += abs(costs[r, cols[r]])
     return cols
 
 
@@ -381,16 +372,6 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
 # ---------------------------------------------------------------------------
 
 
-def _is_feasible(
-    detection_types: tuple[str | None, ...],
-    candidate_types: tuple[str, ...],
-    category_separated: bool,
-) -> bool:
-    if len(detection_types) > len(candidate_types):
-        return False
-    return not category_separated or _type_shortfall(detection_types, candidate_types) is None
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class PreparedProblem:
     """A pruned, costed assignment instance ready to solve."""
@@ -437,9 +418,10 @@ class StopPlan:
         if category_separated:
             _require_typed(detection_types)
         plan, depth = self, len(self.kept_site_ids) - 1
-        while (
-            not _is_feasible(detection_types, plan.pool.types, category_separated)
-            and depth < len(self.probabilities.entries)
+        while depth < len(self.probabilities.entries) and (
+            _type_shortfall(detection_types, plan.pool.types) is not None
+            if category_separated
+            else len(detection_types) > len(plan.pool.types)
         ):
             depth += 1
             plan = _plan_at(self.layout, self.camera, self.threshold, self.probabilities, depth)

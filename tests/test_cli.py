@@ -10,6 +10,13 @@ import pytest
 from relabel import __version__
 from relabel import path as route_module
 from relabel.cli import main
+from relabel.costs import (
+    default_weights,
+    dimension_cost,
+    pair_cost,
+    rotation_cost,
+    translation_cost,
+)
 from relabel.noise import NoiseModel, perturb_layout
 from relabel.scene import load_scene, save_observation, synthesize_observation
 from relabel.scenegen import generate_scene, patrol_route
@@ -264,6 +271,32 @@ class TestAssign:
         labels = [p["label"] for p in doc["pairs"]]
         assert len(set(labels)) == len(labels)
         assert 0.0 <= doc["effective_threshold"] <= 1.0
+
+    def test_report_cells_match_scalar_costs(self, tmp_path, scene_file, capsys):
+        layout = load_scene(scene_file)
+        perturbed = perturb_layout(layout, NoiseModel(t_sd=0.3, r_sd=20.0), 7)
+        seen = (synthesize_observation(perturbed, c) for c in camera_stops(patrol_route(layout)))
+        observation = next(o for o in seen if len(o.detections) >= 3)
+        observation_file = tmp_path / "many.json"
+        save_observation(observation, observation_file)
+        objects = {o.label: o for o in layout.objects}
+        weights = default_weights(layout.bounds)
+        assert run("assign", str(scene_file), str(observation_file), "--json") == 0
+        pairs = json.loads(capsys.readouterr().out)["pairs"]
+        assert run("assign", str(scene_file), str(observation_file)) == 0
+        table = capsys.readouterr().out.splitlines()[1:-1]
+        assert len(table) == len(pairs) == len(observation.detections)
+        for pair, line in zip(pairs, table):
+            detection, candidate = observation.detections[pair["detection"]], objects[pair["label"]]
+            expected = {
+                "c_t": translation_cost(candidate.pose, detection.pose, layout.bounds),
+                "c_r": rotation_cost(candidate.pose.yaw, detection.pose.yaw),
+                "c_d": dimension_cost(candidate.dims, detection.dims),
+                "total": pair_cost(detection, candidate, layout.bounds, weights),
+            }
+            assert {k: pair[k] for k in expected} == pytest.approx(expected, abs=1e-12)
+            shown = [str(pair["detection"]), pair["label"], *(f"{pair[k]:.6f}" for k in expected)]
+            assert line.split() == shown
 
     def test_threshold_and_weights_flags(self, scene_file, observation_file, capsys):
         assert (

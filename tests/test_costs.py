@@ -138,15 +138,18 @@ class TestCostMatrix:
         assert matrix.candidates == ("a-01", "a-02", "b-01")
         for i, det in enumerate(detections):
             for j, cand in enumerate(candidates):
-                cell = matrix.cell(i, j)
-                assert cell.total == pytest.approx(pair_cost(det, cand, bounds, weights), abs=1e-12)
-                assert cell.c_t == pytest.approx(
+                assert matrix.total[i, j] == pytest.approx(
+                    pair_cost(det, cand, bounds, weights), abs=1e-12
+                )
+                assert matrix.c_t[i, j] == pytest.approx(
                     translation_cost(cand.pose, det.pose, bounds), abs=1e-12
                 )
-                assert cell.c_r == pytest.approx(
+                assert matrix.c_r[i, j] == pytest.approx(
                     rotation_cost(cand.pose.yaw, det.pose.yaw), abs=1e-12
                 )
-                assert cell.c_d == pytest.approx(dimension_cost(cand.dims, det.dims), abs=1e-12)
+                assert matrix.c_d[i, j] == pytest.approx(
+                    dimension_cost(cand.dims, det.dims), abs=1e-12
+                )
 
     def test_types_recorded(self, bounds):
         matrix = build_cost_matrix(

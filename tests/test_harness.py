@@ -74,12 +74,8 @@ class TestSweepResult:
         result = SweepResult(rows=rows)
         assert [(r.a, r.stop) for r in result.rows] == [(0.05, 9), (0.1, 0), (0.1, 2)]
 
-    def test_scored_drops_empty_and_failed(self):
-        rows = (
-            record(stop=0),
-            record(stop=1, n=0, correct=0, accuracy=None),
-            record(stop=2, correct=None, accuracy=None, solve_ms=None),
-        )
+    def test_scored_drops_empty_stops(self):
+        rows = (record(stop=0), record(stop=1, n=0, correct=0, accuracy=None))
         assert [r.stop for r in SweepResult(rows=rows).scored()] == [0]
 
 
@@ -246,11 +242,11 @@ class TestCsv:
 
     def test_empty_fields_for_unscored_rows(self, tmp_path):
         path = tmp_path / "rows.csv"
-        failed = record(correct=None, accuracy=None, solve_ms=None)
-        write_rows_csv(SweepResult(rows=(failed,)), path)
+        empty = record(n=0, correct=0, accuracy=None)
+        write_rows_csv(SweepResult(rows=(empty,)), path)
         with path.open(newline="") as fh:
             row = list(csv.DictReader(fh))[0]
-        assert row["correct"] == "" and row["accuracy"] == "" and row["solve_ms"] == ""
+        assert row["accuracy"] == "" and row["correct"] == "0"
 
     def test_floats_round_trip_exactly(self, tmp_path):
         path = tmp_path / "rows.csv"

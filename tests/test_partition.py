@@ -106,6 +106,15 @@ class TestProbabilities:
         assert sp.entries[0].probability == 1.0
         assert sp.entries[1].probability == 0.0
 
+    def test_normalising_total_sums_left_to_right(self):
+        # reciprocal weights 1.0 then twenty of 1e-16: added left to right, each
+        # 1e-16 is lost against 1.0, as under the built-in sum before Python
+        # 3.12; a compensated sum would total 1.000000000000002
+        sites = sites_at((0.0, 0.0), (1.0, 0.0), *[(1e16, 0.0)] * 20)
+        sp = site_probabilities(camera_at(0.0, 0.0), sites)
+        assert sp.entries[0].site_id == "S02"
+        assert sp.entries[0].probability == 1.0
+
     COORD = st.one_of(st.integers(-50, 50).map(float), st.floats(min_value=-50, max_value=50))
 
     @given(

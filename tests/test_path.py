@@ -22,7 +22,7 @@ from relabel.path import (
     save_path,
     _stop_marks,
 )
-from relabel.scene import SceneValidationError
+from relabel.scene import SceneParseError, SceneValidationError
 
 
 def straight(p0=(0.0, 0.0), p3=(10.0, 0.0)) -> BezierSegment:
@@ -145,6 +145,18 @@ class TestRoutes:
         for seg, p in zip(path.segments, points):
             assert seg.p0 == p
         assert path.segments[-1].p3 == points[0]
+
+    def test_bad_points_named(self):
+        with pytest.raises(SceneParseError, match=r"segment\.p0"):
+            BezierSegment(("a", 0), (1, 0), (2, 0), (3, 0))
+        with pytest.raises(SceneParseError, match=r"points\[1\]"):
+            catmull_rom_loop(((0, 0), (1, None), (2, 0)))
+        with pytest.raises(SceneValidationError, match=r"points\[2\]\.z must be finite"):
+            catmull_rom_loop(((0, 0), (1, 1), (2, math.inf)))
+        doc = path_to_dict(CameraPath(segments=(straight(),)))
+        doc["segments"][0]["p1"] = [1.0, math.nan]
+        with pytest.raises(SceneValidationError, match=r"segments\[0\]\.p1\.z must be finite"):
+            path_from_dict(doc)
 
     def test_catmull_rom_needs_three_points(self):
         with pytest.raises(SceneValidationError):
