@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .costs import CostWeights
+from .costs import CostWeights, cost_terms
 from .harness import (
     DEFAULT_R_LIST,
     DEFAULT_THRESHOLDS,
@@ -38,6 +38,7 @@ from .scene import (
     SceneValidationError,
     load_observation,
     load_scene,
+    object_arrays,
     save_scene,
 )
 from .scenegen import ARCHETYPES, generate_scene, patrol_route
@@ -147,14 +148,15 @@ def _assign_report(args: argparse.Namespace) -> tuple[str, dict]:
     result = solve(prepared.problem)
     matrix = prepared.problem.matrix
     column = {label: j for j, label in enumerate(matrix.candidates)}
+    terms = cost_terms(
+        object_arrays(observation.detections), object_arrays(prepared.candidates), layout.bounds
+    )
 
     lines = [f"{'detection':>9}  {'label':<16} {'c_t':>10} {'c_r':>10} {'c_d':>10} {'total':>10}"]
     pair_docs = []
     for i, label in result.pairs:
         j = column[label]
-        c_t = float(matrix.c_t[i, j])
-        c_r = float(matrix.c_r[i, j])
-        c_d = float(matrix.c_d[i, j])
+        c_t, c_r, c_d = [float(term[i, j]) for term in terms]
         total = float(matrix.total[i, j])
         lines.append(
             f"{i:>9}  {label:<16} {c_t:>10.6f} {c_r:>10.6f} {c_d:>10.6f} {total:>10.6f}"

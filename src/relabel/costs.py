@@ -9,11 +9,12 @@ ratio).  The three terms combine as
 
 so a box mismatch scales up whatever motion cost the pair already carries.
 
-Both sides of a build are array views (`scene.ObjectArrays`), and one
-kernel, `score_arrays`, scores a detection view against a candidate view.
-It scores c_d once per distinct pair of boxes, not once per cell: identical
-objects share one box, so a stop full of them has few distinct boxes on
-either side.  Boxes are told apart by value, never by object type, and
+Both sides of a build are array views (`scene.ObjectArrays`).  `cost_terms`
+computes the three terms of a detection view against a candidate view, and
+`score_arrays` combines them into a `CostMatrix`, which holds only `total`:
+a report that shows the terms recomputes them with `cost_terms`.  c_d is
+scored once per distinct pair of boxes, not once per cell: identical objects
+share one box.  Boxes are told apart by value, never by object type, and
 every cell gets the same float operations as a 1 x 1 build of its own pair.
 A stop's candidate pool is rows of its layout's view (`ObjectArrays.take`),
 taken once per plan; `build_cost_matrix` scores views of the two tuples it
@@ -127,34 +128,31 @@ def pair_cost(
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CostMatrix:
-    """Dense N x M cost table from N detections to M candidate labels.
+    """Dense N x M table of total costs from N detections to M candidate
+    labels; the terms behind each cell come from `cost_terms`.
 
     Rows follow the detection order of the observation; columns follow
-    `candidates`.  All arrays are read-only.
+    `candidates`.  `total` is read-only.
     """
 
     candidates: tuple[str, ...]
     candidate_types: tuple[str, ...]
     detection_types: tuple[str | None, ...]
-    c_t: np.ndarray
-    c_r: np.ndarray
-    c_d: np.ndarray
     total: np.ndarray
 
     def __post_init__(self) -> None:
         n, m = len(self.detection_types), len(self.candidates)
-        for name in ("c_t", "c_r", "c_d", "total"):
-            arr = getattr(self, name)
-            if arr.shape != (n, m):
-                raise SceneValidationError(
-                    f"cost array '{name}' has shape {arr.shape}, expected {(n, m)}"
-                )
-            if arr.size and not np.isfinite(arr).all():
-                raise SceneValidationError(f"cost array '{name}' contains non-finite cells")
-            arr.flags.writeable = False
+        total = self.total
+        if total.shape != (n, m):
+            raise SceneValidationError(
+                f"cost array 'total' has shape {total.shape}, expected {(n, m)}"
+            )
+        if total.size and not np.isfinite(total).all():
+            raise SceneValidationError("cost array 'total' contains non-finite cells")
+        total.flags.writeable = False
         # the solver sums up to one cell per row, and its tie window and
         # margins add a little more: twice every row at the largest |cell|
-        if not math.isfinite(float(np.abs(self.total).max(initial=0.0)) * 2.0 * n):
+        if not math.isfinite(float(np.abs(total).max(initial=0.0)) * 2.0 * n):
             raise SceneValidationError("cost array 'total' has cells whose sums overflow")
 
     @property
@@ -176,12 +174,11 @@ def _box_fit(det_boxes: np.ndarray, cand_boxes: np.ndarray) -> np.ndarray:
     return fit
 
 
-def score_arrays(
-    detections: ObjectArrays, candidates: ObjectArrays, bounds: SceneBounds, weights: CostWeights
-) -> CostMatrix:
-    """Score every detection of one array view against every candidate
-    object of another, in the order of each view; the candidates' labels
-    name the columns."""
+def cost_terms(
+    detections: ObjectArrays, candidates: ObjectArrays, bounds: SceneBounds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c_t, c_r and c_d of every detection of one array view against every
+    candidate object of another, in the order of each view."""
     c_t = np.hypot(
         detections.x[:, None] - candidates.x, detections.z[:, None] - candidates.z
     ) / bounds.diagonal()
@@ -190,7 +187,16 @@ def score_arrays(
     # identical objects share one box, so c_d is scored per distinct pair
     fit = _box_fit(detections.boxes, candidates.boxes)
     c_d = fit.take(detections.box_row, 0).take(candidates.box_row, 1)
+    return c_t, c_r, c_d
 
+
+def score_arrays(
+    detections: ObjectArrays, candidates: ObjectArrays, bounds: SceneBounds, weights: CostWeights
+) -> CostMatrix:
+    """Total cost of every detection of one array view against every
+    candidate object of another, in the order of each view; the
+    candidates' labels name the columns."""
+    c_t, c_r, c_d = cost_terms(detections, candidates, bounds)
     with np.errstate(over="ignore"):
         total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
     # the solver sums up to one cell per row, and its tie window and margins
@@ -203,9 +209,6 @@ def score_arrays(
         candidates=tuple([c.label for c in candidates.objects]),
         candidate_types=candidates.types,
         detection_types=detections.types,
-        c_t=c_t,
-        c_r=c_r,
-        c_d=c_d,
         total=total,
     )
 

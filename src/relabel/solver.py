@@ -125,25 +125,27 @@ def _unique_within_window(
     The held cells of row i must cost exactly base_i, as the cells of
     sigma_i's duplicate columns do (`_column_groups`).  In rest space,
     rest[i, j] = costs[i, j] - base_i, any assignment T costs val(T) -
-    val(sigma).  A row screen settles most stops: when every row's other
-    cells cost more than the budget, so does every T that leaves them.
+    val(sigma).  A row screen settles most stops: the held cells are 0.0 in
+    rest and the budget is positive, so when they are the only cells within
+    the budget, every T that leaves them costs more than the budget.
 
     Otherwise one more solve decides, with the held cells set to 2 *
     budget.  A T that keeps k rows in held cells costs k * 2 * budget +
     val(T) - val(sigma) there, against n * 2 * budget for sigma.  If no
     assignment beats sigma, every such T costs at least (n - k) * 2 *
-    budget more than sigma, past the budget.  The test is sufficient only;
-    when it declines, the row scan decides exactly.
+    budget more than sigma, past the budget; a re-solve that returns sigma
+    itself holds with no sum.  The test is sufficient only; when it
+    declines, the row scan decides exactly.
     """
     rest = costs - base[:, None]
+    held_count = len(sigma) if held is None else np.count_nonzero(held)
     if held is None:
         held = (rows, sigma)
-    rest[held] = np.inf
-    if rest.min() > budget:
+    if np.count_nonzero(rest <= budget) == held_count:
         return True
     rest[held] = 2 * budget
     ri, ci = linear_sum_assignment(rest)
-    return bool(rest[ri, ci].sum() >= rest[rows, sigma].sum())
+    return bool(np.array_equal(ci, sigma) or rest[ri, ci].sum() >= rest[rows, sigma].sum())
 
 
 def _column_groups(costs: np.ndarray) -> np.ndarray:
@@ -305,7 +307,7 @@ def _type_shortfall(
 
 def _as_result(matrix: CostMatrix, cols: np.ndarray, total: float) -> AssignmentResult:
     labels = matrix.candidates
-    pairs = tuple(zip(range(len(cols)), [labels[c] for c in cols.tolist()]))
+    pairs = tuple(enumerate([labels[c] for c in cols.tolist()]))
     return AssignmentResult(pairs=pairs, total_cost=total, candidate_count=matrix.shape[1])
 
 
@@ -475,18 +477,11 @@ class StopPlan:
         detection_types = tuple([table.detection_types[i] for i in rows.tolist()])
         plan = self._admit(detection_types, category_separated)
         cols = plan.rows
-
-        def block(costs: np.ndarray) -> np.ndarray:
-            return costs.take(rows, axis=0).take(cols, axis=1)  # costs[np.ix_(rows, cols)]
-
         matrix = CostMatrix(
             candidates=tuple([table.candidates[j] for j in cols.tolist()]),
             candidate_types=plan.pool.types,
             detection_types=detection_types,
-            c_t=block(table.c_t),
-            c_r=block(table.c_r),
-            c_d=block(table.c_d),
-            total=block(table.total),
+            total=table.total.take(rows, axis=0).take(cols, axis=1),  # [np.ix_(rows, cols)]
         )
         return plan._prepared(matrix, category_separated)
 

@@ -118,9 +118,6 @@ def test_criterion_3_solver_matches_oracle():
                     candidates=tuple(f"o-{j:02d}" for j in range(m)),
                     candidate_types=("chair",) * m,
                     detection_types=(None,) * n,
-                    c_t=np.zeros((n, m)),
-                    c_r=np.zeros((n, m)),
-                    c_d=np.ones((n, m)),
                     total=totals,
                 )
             else:

@@ -15,6 +15,7 @@ from relabel import costs
 from relabel.costs import (
     CostWeights,
     build_cost_matrix,
+    cost_terms,
     default_weights,
     dimension_cost,
     pair_cost,
@@ -29,6 +30,7 @@ from relabel.scene import (
     PlanarPose,
     SceneBounds,
     SceneValidationError,
+    object_arrays,
 )
 
 from .conftest import make_detection, make_object
@@ -134,6 +136,7 @@ class TestCostMatrix:
         )
         weights = CostWeights(w_t=2.52, w_r=1.0)
         matrix = build_cost_matrix(detections, candidates, bounds, weights)
+        c_t, c_r, c_d = cost_terms(object_arrays(detections), object_arrays(candidates), bounds)
         assert matrix.shape == (2, 3)
         assert matrix.candidates == ("a-01", "a-02", "b-01")
         for i, det in enumerate(detections):
@@ -141,13 +144,13 @@ class TestCostMatrix:
                 assert matrix.total[i, j] == pytest.approx(
                     pair_cost(det, cand, bounds, weights), abs=1e-12
                 )
-                assert matrix.c_t[i, j] == pytest.approx(
+                assert c_t[i, j] == pytest.approx(
                     translation_cost(cand.pose, det.pose, bounds), abs=1e-12
                 )
-                assert matrix.c_r[i, j] == pytest.approx(
+                assert c_r[i, j] == pytest.approx(
                     rotation_cost(cand.pose.yaw, det.pose.yaw), abs=1e-12
                 )
-                assert matrix.c_d[i, j] == pytest.approx(
+                assert c_d[i, j] == pytest.approx(
                     dimension_cost(cand.dims, det.dims), abs=1e-12
                 )
 
@@ -189,9 +192,6 @@ class TestCostMatrix:
                 candidates=("a-01", "a-02"),
                 candidate_types=("chair", "chair"),
                 detection_types=(None, None),
-                c_t=np.zeros((2, 2)),
-                c_r=np.zeros((2, 2)),
-                c_d=np.ones((2, 2)),
                 total=total,
             )
 
@@ -250,17 +250,24 @@ class TestCostMatrixCells:
     own pair, whichever other boxes share the build."""
 
     WEIGHTS = CostWeights(w_t=2.52, w_r=1.0)
+    NAMES = ("c_t", "c_r", "c_d", "total")
+
+    def arrays(self, detections, candidates):
+        """The table's terms from `cost_terms` and its total, by name."""
+        terms = cost_terms(object_arrays(detections), object_arrays(candidates), B5)
+        total = build_cost_matrix(detections, candidates, B5, self.WEIGHTS).total
+        return dict(zip(self.NAMES, (*terms, total)))
 
     def assert_cellwise(self, detections, candidates):
-        matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
-        assert matrix.shape == (len(detections), len(candidates))
+        table = self.arrays(detections, candidates)
+        assert table["total"].shape == (len(detections), len(candidates))
         for i, det in enumerate(detections):
             for j, cand in enumerate(candidates):
-                alone = build_cost_matrix((det,), (cand,), B5, self.WEIGHTS)
-                for name in ("c_t", "c_r", "c_d", "total"):
-                    cell = getattr(matrix, name)[i, j]
-                    assert cell.tobytes() == getattr(alone, name)[0, 0].tobytes(), name
-                assert matrix.c_d[i, j] == pytest.approx(
+                alone = self.arrays((det,), (cand,))
+                for name in self.NAMES:
+                    cell = table[name][i, j]
+                    assert cell.tobytes() == alone[name][0, 0].tobytes(), name
+                assert table["c_d"][i, j] == pytest.approx(
                     dimension_cost(cand.dims, det.dims), rel=1e-12
                 )
 
@@ -285,9 +292,8 @@ class TestCostMatrixCells:
     def test_empty_sides(self):
         det, cand = (make_detection(1, 1),), (make_object("a-01", 1, 1),)
         for detections, candidates in (((), cand), (det, ()), ((), ())):
-            matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
-            for name in ("c_t", "c_r", "c_d", "total"):
-                assert getattr(matrix, name).shape == (len(detections), len(candidates))
+            for array in self.arrays(detections, candidates).values():
+                assert array.shape == (len(detections), len(candidates))
 
     def test_distinct_boxes_bounded_memory(self, monkeypatch):
         # measured boxes are all distinct, so the box-fit table has a pair
@@ -318,10 +324,11 @@ class TestCostMatrixCells:
             tracemalloc.stop()
         assert peak <= 16 * n * m * 8
         # the chunked table is the one-broadcast table, byte for byte
+        c_d = self.arrays(detections, candidates)["c_d"]
         monkeypatch.setattr(costs, "_FIT_CHUNK_PAIRS", n * m)
-        whole = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
-        assert matrix.c_d.tobytes() == whole.c_d.tobytes()
-        assert matrix.total.tobytes() == whole.total.tobytes()
+        whole = self.arrays(detections, candidates)
+        assert c_d.tobytes() == whole["c_d"].tobytes()
+        assert matrix.total.tobytes() == whole["total"].tobytes()
 
     def test_same_type_different_boxes(self):
         # two chairs with different boxes: scoring c_d per type would give
@@ -331,5 +338,4 @@ class TestCostMatrixCells:
             make_object("chair-01", 1, 1, dims=(0.5, 0.9, 0.5)),
             make_object("chair-02", 2, 2, dims=(1.0, 0.9, 0.5)),
         )
-        matrix = build_cost_matrix(detections, candidates, B5, self.WEIGHTS)
-        assert matrix.c_d.tolist() == [[1.0, 2.0]]
+        assert self.arrays(detections, candidates)["c_d"].tolist() == [[1.0, 2.0]]

@@ -8,8 +8,8 @@ tie that one ulp could flip, so two kinds of change pass them unseen:
   `repr(total_cost)` over three seeded sets, with the count of
   near-window tables on which `solve` and `brute_force_solve` disagree;
 - a cost-kernel change that moves a cell by one ulp: pinned here as the
-  sha256 of `score_arrays`' `total`, `c_t`, `c_r` and `c_d` bytes for one
-  perturbed-against-initial table per archetype.
+  sha256 of `score_arrays`' `total` and then `cost_terms`' `c_t`, `c_r` and
+  `c_d` bytes for one perturbed-against-initial table per archetype.
 
 Only a change that means to change these outputs regenerates them, and
 says why:
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relabel.costs import default_weights, score_arrays
+from relabel.costs import cost_terms, default_weights, score_arrays
 from relabel.noise import NoiseModel, derive_seed, perturb_layout
 from relabel.path import camera_stops
 from relabel.scene import SceneLayout, layout_arrays, synthesize_observation
@@ -145,9 +145,10 @@ def kernel_digest(name: str) -> str:
     layout = generate_scene(name, 0)
     perturbed = perturb_layout(layout, KERNEL_NOISE, derive_seed(0, 0))
     weights = default_weights(layout.bounds)
-    table = score_arrays(layout_arrays(perturbed), layout_arrays(layout), layout.bounds, weights)
+    detections, candidates = layout_arrays(perturbed), layout_arrays(layout)
+    table = score_arrays(detections, candidates, layout.bounds, weights)
     h = hashlib.sha256()
-    for array in (table.total, table.c_t, table.c_r, table.c_d):
+    for array in (table.total, *cost_terms(detections, candidates, layout.bounds)):
         h.update(np.ascontiguousarray(array).tobytes())
     return h.hexdigest()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -57,14 +58,10 @@ def matrix_from(
 ) -> CostMatrix:
     totals = np.asarray(totals, dtype=float)
     n, m = totals.shape
-    zeros = np.zeros_like(totals)
     return CostMatrix(
         candidates=tuple(f"c-{j:02d}" for j in range(m)),
         candidate_types=candidate_types or ("chair",) * m,
         detection_types=detection_types or (None,) * n,
-        c_t=zeros,
-        c_r=zeros,
-        c_d=np.ones_like(totals),
         total=totals,
     )
 
@@ -339,6 +336,21 @@ class TestNearWindow:
         assert_matches_oracle(AssignmentProblem(matrix_from(self.SEEDED_TABLES[index])))
 
 
+def reference_unique_within_window(costs, rows, sigma, base, budget, held=None) -> bool:
+    """The tie certificate spelled out: the held cells masked with inf for
+    a min screen, then a re-solve whose sum is always compared with
+    sigma's."""
+    rest = costs - base[:, None]
+    if held is None:
+        held = (rows, sigma)
+    rest[held] = np.inf
+    if rest.min() > budget:
+        return True
+    rest[held] = 2 * budget
+    ri, ci = linear_sum_assignment(rest)
+    return bool(rest[ri, ci].sum() >= rest[rows, sigma].sum())
+
+
 class TestCertificates:
     """The tie certificate (a row screen, then one re-solve with sigma's
     cells raised) against exhaustive enumeration."""
@@ -351,6 +363,36 @@ class TestCertificates:
             # identical objects give identical columns
             totals = totals[:, data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
         assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_reference_certificate(self, data):
+        # the count screen and the re-solve that skips its sum when it
+        # returns sigma decide as the min screen and the full sum comparison;
+        # small tables pass the screen often enough to tell the two apart
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(n, n + 3))
+        cells = st.lists(st.integers(0, 3), min_size=n * m, max_size=n * m)
+        totals = np.array(data.draw(cells), dtype=float).reshape(n, m)
+        cand = np.array(data.draw(st.lists(st.sampled_from("ab"), min_size=m, max_size=m)))
+        if data.draw(st.booleans()):
+            # identical objects give identical columns, types included
+            sources = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+            totals, cand = totals[:, sources], cand[sources]
+        if data.draw(st.booleans()):
+            # typed: cells across types are inf in blocks, and every type fits
+            det = cand[data.draw(st.permutations(range(m)))[:n]]
+            totals = np.where(det[:, None] != cand, np.inf, totals)
+        rows, sigma, base, budget = certificate_args(totals)
+        # integer cells lie far outside solve's budget; wider ones put some
+        # cells between the budget and the re-solve's raised held cells
+        budget = data.draw(st.sampled_from((budget, 0.5, 0.75, 1.5)))
+        held = None
+        if data.draw(st.booleans()):
+            groups = solver._column_groups(totals)
+            held = groups[sigma][:, None] == groups
+        args = (totals, rows, sigma, base, budget, held)
+        assert solver._unique_within_window(*args) == reference_unique_within_window(*args)
 
     def test_certificate_is_sound(self):
         # whenever it holds, no second assignment lies within the budget
@@ -899,13 +941,9 @@ class TestStopPlan:
     scores the observation (`prepare`) or slices a cell's table
     (`prepare_rows`)."""
 
-    COSTS = ("c_t", "c_r", "c_d", "total")
-
     def assert_same(self, reused, fresh, observation, layout):
-        for name in self.COSTS:
-            a = getattr(reused.problem.matrix, name)
-            b = getattr(fresh.problem.matrix, name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        a, b = reused.problem.matrix.total, fresh.problem.matrix.total
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert reused.problem.matrix.candidates == fresh.problem.matrix.candidates
         assert reused.problem.matrix.candidate_types == fresh.problem.matrix.candidate_types
         assert reused.problem.matrix.detection_types == fresh.problem.matrix.detection_types
@@ -917,8 +955,7 @@ class TestStopPlan:
         whole = build_cost_matrix(
             observation.detections, fresh.candidates, layout.bounds, default_weights(layout.bounds)
         )
-        for name in self.COSTS:
-            assert getattr(reused.problem.matrix, name).tobytes() == getattr(whole, name).tobytes()
+        assert reused.problem.matrix.total.tobytes() == whole.total.tobytes()
 
     @pytest.mark.parametrize("category_separated", (False, True))
     @pytest.mark.parametrize("archetype", sorted(ARCHETYPES))
@@ -1045,6 +1082,33 @@ class TestStopPlan:
         pool = plan.pool
         for array in (plan.rows, pool.x, pool.z, pool.yaw, pool.boxes, pool.box_row):
             assert not array.flags.writeable
+
+    def test_tables_hold_only_their_total(self, clustered_layout):
+        # a cost table is its total; a report recomputes the terms with
+        # `cost_terms`, so no build or slice carries them
+        camera = CameraState(position=(2.0, 6.0), yaw=0.0, fov=359.0, range=50.0)
+        plan = plan_stop(clustered_layout, camera, 1.0)
+        observation = synthesize_observation(clustered_layout, camera)
+        row = {o.label: i for i, o in enumerate(layout_arrays(clustered_layout).objects)}
+        rows = np.array([row[o.label] for o in visible_objects(clustered_layout, camera)])
+        table = cell_table(layout_arrays(clustered_layout), clustered_layout)
+        weights = default_weights(clustered_layout.bounds)
+        built = build_cost_matrix(
+            observation.detections, plan.candidates, clustered_layout.bounds, weights
+        )
+        for matrix in (
+            built,
+            table,
+            plan.prepare(observation).problem.matrix,
+            plan.prepare_rows(table, rows).problem.matrix,
+        ):
+            arrays = [
+                field.name
+                for field in dataclasses.fields(matrix)
+                if isinstance(getattr(matrix, field.name), np.ndarray)
+            ]
+            assert arrays == ["total"]
+        assert built.shape == (len(rows), len(plan.candidates)) == (4, 5)
 
 
 TWIN_DIMS = {"chair": (0.5, 0.9, 0.5), "table": (1.4, 0.8, 0.9)}
