@@ -132,7 +132,7 @@ class CostMatrix:
     labels; the terms behind each cell come from `cost_terms`.
 
     Rows follow the detection order of the observation; columns follow
-    `candidates`.  `total` is read-only.
+    `candidates`.  `total` is read-only float64.
     """
 
     candidates: tuple[str, ...]
@@ -142,7 +142,10 @@ class CostMatrix:
 
     def __post_init__(self) -> None:
         n, m = len(self.detection_types), len(self.candidates)
-        total = self.total
+        # float64 whatever the input, uncopied when it already is: the
+        # solver runs on float64 cells and groups twin columns by their bytes
+        total = np.asarray(self.total, dtype=np.float64)
+        object.__setattr__(self, "total", total)
         if total.shape != (n, m):
             raise SceneValidationError(
                 f"cost array 'total' has shape {total.shape}, expected {(n, m)}"

@@ -17,12 +17,12 @@ Category separation forbids the cells that pair a detection with a label of
 another type (they cost infinity); the instance is still solved as one
 table, so the tie window is the whole instance's.
 
-`solve` runs one LSA for an optimum, sigma, then a tie certificate: a row
-screen, then one re-solve with sigma's cells raised.  When it declines and
-some column of sigma has byte-equal twins (identical objects stacked on one
-pose), the duplicate-group step runs the same certificate holding each row
-to every column of sigma's group for it; if that holds, each row takes the
-smallest free column of its group.  Anything else goes to the row scan.
+`solve` runs one LSA for an optimum, sigma, then a tie certificate that
+holds each row to sigma's column and that column's byte-equal twins
+(identical objects stacked on one pose): a row screen, then one re-solve
+with the held cells raised.  If it holds, each row takes the smallest free
+held column, sigma's own when it has no twins.  Anything else goes to the
+row scan.
 """
 
 from __future__ import annotations
@@ -110,24 +110,44 @@ def _gather_total(costs: np.ndarray, cols: np.ndarray) -> float:
     return float(np.sum(costs[np.arange(len(cols)), cols]))
 
 
-def _unique_within_window(
-    costs: np.ndarray,
-    rows: np.ndarray,
-    sigma: np.ndarray,
-    base: np.ndarray,
-    budget: float,
-    held: np.ndarray | None = None,
-) -> bool:
-    """True when every assignment within `budget` of sigma's total (row i
-    takes column sigma_i, at cost base_i) provably keeps each row in its
-    held cells: by default sigma's own, so sigma is the only one.
+def _twins(costs: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Mask of the cells whose column is byte-equal to their row's sigma
+    column, sigma's own included: -0.0 and 0.0 stay apart.  One sort of
+    the columns' bytes groups them, so an all-twin table costs the work of
+    its size (comparing each cell's column with its row's sigma column
+    would cost n times the table)."""
+    columns = np.ascontiguousarray(costs.T).view(f"V{costs.itemsize * len(costs)}").ravel()
+    group = np.unique(columns, return_inverse=True)[1]
+    return group[sigma][:, None] == group
 
-    The held cells of row i must cost exactly base_i, as the cells of
-    sigma_i's duplicate columns do (`_column_groups`).  In rest space,
-    rest[i, j] = costs[i, j] - base_i, any assignment T costs val(T) -
-    val(sigma).  A row screen settles most stops: the held cells are 0.0 in
-    rest and the budget is positive, so when they are the only cells within
-    the budget, every T that leaves them costs more than the budget.
+
+def _group_cols(held: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Row by row, the smallest held column (`_twins`) that no earlier row
+    takes.  Rows whose sigma columns are twins hold the same columns, so
+    the k-th of them in row order takes the k-th of those columns."""
+    rank = held[:, sigma].cumsum(axis=1).diagonal()
+    return (held.cumsum(axis=1) < rank[:, None]).sum(axis=1)
+
+
+def _certified_cols(
+    costs: np.ndarray, sigma: np.ndarray, base: np.ndarray, budget: float
+) -> np.ndarray | None:
+    """The canonical columns when a certificate shows that every assignment
+    within `budget` of sigma's total (row i takes column sigma_i, at cost
+    base_i) keeps each row in its held cells: sigma_i's and those of
+    sigma_i's byte-equal twins (`_twins`).  None when it declines.
+
+    Such an assignment then has sigma's cells row by row, so the canonical
+    one gives each row the smallest held column that no earlier row takes
+    (`_group_cols`), at sigma's total: sigma itself when it has no twins.
+
+    In rest space, rest[i, j] = costs[i, j] - base_i, any assignment T
+    costs val(T) - val(sigma).  A row screen settles most stops: the held
+    cells are 0.0 in rest and the budget is positive, so when they are the
+    only cells within the budget, every T that leaves them costs more than
+    the budget.  It runs first with sigma's cells alone, then with every
+    held cell.  A twin's cell is 0.0 in rest, so the twin test runs only
+    when some cell off sigma is.
 
     Otherwise one more solve decides, with the held cells set to 2 *
     budget.  A T that keeps k rows in held cells costs k * 2 * budget +
@@ -137,52 +157,34 @@ def _unique_within_window(
     itself holds with no sum.  The test is sufficient only; when it
     declines, the row scan decides exactly.
     """
+    n = len(sigma)
     rest = costs - base[:, None]
-    held_count = len(sigma) if held is None else np.count_nonzero(held)
-    if held is None:
-        held = (rows, sigma)
-    if np.count_nonzero(rest <= budget) == held_count:
-        return True
-    rest[held] = 2 * budget
-    ri, ci = linear_sum_assignment(rest)
-    return bool(np.array_equal(ci, sigma) or rest[ri, ci].sum() >= rest[rows, sigma].sum())
-
-
-def _column_groups(costs: np.ndarray) -> np.ndarray:
-    """Each column's group, numbered in order of first column: columns
-    equal byte for byte share one, so -0.0 and 0.0 stay apart."""
-    raw, width = costs.T.tobytes(), costs.shape[0] * costs.itemsize
-    seen: dict[bytes, int] = {}
-    return np.array(
-        [seen.setdefault(raw[at : at + width], len(seen)) for at in range(0, len(raw), width)]
-    )
-
-
-def _group_cols(groups: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Row by row, the smallest column of sigma's group for the row that no
-    earlier row takes."""
-    free: dict[int, list[int]] = {}
-    for col, group in enumerate(groups.tolist()):
-        free.setdefault(group, []).append(col)
-    return np.array([free[group].pop(0) for group in groups[sigma].tolist()], dtype=np.intp)
+    within = np.count_nonzero(rest <= budget)
+    if within == n:
+        return sigma
+    held = rest == 0.0
+    count = np.count_nonzero(held)
+    if count > n:
+        held = _twins(costs, sigma)
+        count = np.count_nonzero(held)
+    if within > count:
+        rest[held] = 2 * budget
+        rows, cols = linear_sum_assignment(rest)
+        if not (cols == sigma).all() and rest[rows, cols].sum() < rest[rows, sigma].sum():
+            return None
+    return sigma if count == n else _group_cols(held, sigma)
 
 
 def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     """Columns of the canonical optimal assignment for a dense cost block,
     and their canonical total.
 
-    One solve gives an optimum, sigma; the certificate either shows that no
-    other assignment lies within the tie window (the common case, in which
-    sigma is trivially canonical) or the row scan, started from sigma,
-    rebuilds the lexicographically smallest in-window column tuple.
-
-    Between the two, exact ties of duplicate columns (identical objects
-    stacked on one pose) settle without the scan: when some column of
-    sigma has byte-equal twins, the certificate runs again holding each
-    row to every column of sigma's group for it.  If it holds, every
-    in-window assignment keeps each row in that group, so its cells, row
-    by row, are sigma's, and the canonical one gives each row the smallest
-    column of its group that no earlier row takes, at sigma's total.
+    One solve gives an optimum, sigma; the certificate either shows that
+    every other assignment within the tie window only moves rows between
+    byte-equal twin columns (`_certified_cols`; in the common case there is
+    no other, and sigma is trivially canonical) or the row scan, started
+    from sigma, rebuilds the lexicographically smallest in-window column
+    tuple.
     """
     n, m = costs.shape
     if n > m:
@@ -194,13 +196,9 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     # the certificate is asked about twice the window: an assignment on the
     # window's edge may be in it by one summation order and out of it by
     # another, so it goes to the scan, which judges the canonical sum
-    budget = 2 * (window - best_value)
-    if _unique_within_window(costs, rows, sigma, base, budget):
-        return sigma, best_value
-    groups = _column_groups(costs)
-    held = groups[sigma][:, None] == groups
-    if np.count_nonzero(held) > n and _unique_within_window(costs, rows, sigma, base, budget, held):
-        return _group_cols(groups, sigma), best_value
+    cols = _certified_cols(costs, sigma, base, 2 * (window - best_value))
+    if cols is not None:
+        return cols, best_value
     cols = _scan_cols(costs, window, sigma)
     return cols, _gather_total(costs, cols)
 

@@ -74,7 +74,7 @@ def murty_solve(problem: AssignmentProblem) -> AssignmentResult:
 def assert_matches_murty(problem: AssignmentProblem) -> None:
     fast, slow = solve(problem), murty_solve(problem)
     assert fast.pairs == slow.pairs
-    assert fast.total_cost == slow.total_cost  # bitwise, not approx
+    assert repr(fast.total_cost) == repr(slow.total_cost)  # bitwise: -0.0 is not 0.0
 
 
 def integer_tables(seed: int, count: int, rows: tuple[int, int]):

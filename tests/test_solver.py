@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestSolveBasics:
 def assert_matches_oracle(problem: AssignmentProblem) -> AssignmentResult:
     fast, slow = solve(problem), brute_force_solve(problem)
     assert fast.pairs == slow.pairs
-    assert fast.total_cost == slow.total_cost  # bitwise, not approx
+    assert repr(fast.total_cost) == repr(slow.total_cost)  # bitwise: -0.0 is not 0.0
     return fast
 
 
@@ -135,7 +136,28 @@ def certificate_args(costs: np.ndarray) -> tuple:
     rows, sigma = linear_sum_assignment(costs)
     base = costs[rows, sigma]
     best = float(base.sum())
-    return rows, sigma, base, 2 * ((best + _tol(best)) - best)
+    return sigma, base, 2 * ((best + _tol(best)) - best)
+
+
+def column_groups(costs: np.ndarray) -> np.ndarray:
+    """Each column's group, numbered in order of first column: columns
+    equal byte for byte share one, so -0.0 and 0.0 stay apart.  The
+    reference for `solver._twins`: row i's twins are the columns of
+    sigma_i's group."""
+    raw, width = costs.T.tobytes(), costs.shape[0] * costs.itemsize
+    seen: dict[bytes, int] = {}
+    return np.array(
+        [seen.setdefault(raw[at : at + width], len(seen)) for at in range(0, len(raw), width)]
+    )
+
+
+def reference_group_cols(groups: np.ndarray, sigma: np.ndarray) -> list[int]:
+    """Row by row, the smallest column of sigma's group for the row that no
+    earlier row takes: the reference for `solver._group_cols`."""
+    free: dict[int, list[int]] = {}
+    for col, group in enumerate(groups.tolist()):
+        free.setdefault(group, []).append(col)
+    return [free[group].pop(0) for group in groups[sigma].tolist()]
 
 
 class TestBruteForce:
@@ -157,7 +179,32 @@ class TestBruteForce:
             problem = AssignmentProblem(matrix_from(totals))
             fast, slow = solve(problem), brute_force_solve(problem)
             assert fast.pairs == slow.pairs
-            assert fast.total_cost == slow.total_cost  # bitwise, not approx
+            assert repr(fast.total_cost) == repr(slow.total_cost)  # bitwise, not approx
+
+    @pytest.mark.parametrize("dtype", (bool, np.int32, np.float32))
+    def test_tables_of_other_dtypes(self, dtype):
+        # a hand-built table of another real dtype is held as float64 (a bool
+        # one made solve raise TypeError), whose bytes the twin test groups
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n, 8))
+            if dtype is np.float32:
+                cells = rng.uniform(0.0, 4.0, size=(n, m))
+            else:
+                cells = rng.integers(0, 4, size=(n, m))
+            matrix = CostMatrix(
+                candidates=tuple(f"c-{j:02d}" for j in range(m)),
+                candidate_types=("chair",) * m,
+                detection_types=(None,) * n,
+                total=cells.astype(dtype),
+            )
+            assert matrix.total.dtype == np.float64
+            assert_matches_oracle(AssignmentProblem(matrix))
+
+    def test_float64_table_is_held_uncopied(self):
+        totals = np.ones((2, 3))
+        assert matrix_from(totals).total is totals
 
 
 class TestTieHeavy:
@@ -212,7 +259,7 @@ class TestNearWindow:
         rng = np.random.default_rng(31)
         for _ in range(30):
             totals = self.table(rng, 1.5, 1.5)
-            assert not solver._unique_within_window(totals, *certificate_args(totals))
+            assert solver._certified_cols(totals, *certificate_args(totals)) is None
             assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
     def test_lopsided_swap_is_certified(self):
@@ -221,7 +268,7 @@ class TestNearWindow:
         rng = np.random.default_rng(37)
         for _ in range(30):
             totals = self.table(rng, 0.5, 20.0)
-            assert solver._unique_within_window(totals, *certificate_args(totals))
+            assert solver._certified_cols(totals, *certificate_args(totals)) is not None
             assert_matches_oracle(AssignmentProblem(matrix_from(totals)))
 
     def test_signed_big_cells(self):
@@ -336,23 +383,21 @@ class TestNearWindow:
         assert_matches_oracle(AssignmentProblem(matrix_from(self.SEEDED_TABLES[index])))
 
 
-def reference_unique_within_window(costs, rows, sigma, base, budget, held=None) -> bool:
+def reference_unique_within_window(costs, sigma, base, budget, held) -> bool:
     """The tie certificate spelled out: the held cells masked with inf for
     a min screen, then a re-solve whose sum is always compared with
     sigma's."""
     rest = costs - base[:, None]
-    if held is None:
-        held = (rows, sigma)
     rest[held] = np.inf
     if rest.min() > budget:
         return True
     rest[held] = 2 * budget
     ri, ci = linear_sum_assignment(rest)
-    return bool(rest[ri, ci].sum() >= rest[rows, sigma].sum())
+    return bool(rest[ri, ci].sum() >= rest[ri, sigma].sum())
 
 
 class TestCertificates:
-    """The tie certificate (a row screen, then one re-solve with sigma's
+    """The tie certificate (row screens, then one re-solve with the held
     cells raised) against exhaustive enumeration."""
 
     @settings(max_examples=300, deadline=None)
@@ -367,8 +412,9 @@ class TestCertificates:
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_matches_reference_certificate(self, data):
-        # the count screen and the re-solve that skips its sum when it
-        # returns sigma decide as the min screen and the full sum comparison;
+        # the count screens and the re-solve that skips its sum when it
+        # returns sigma decide as the min screen and the full sum comparison
+        # held to sigma's byte-equal groups, and pick the group columns;
         # small tables pass the screen often enough to tell the two apart
         n = data.draw(st.integers(1, 4))
         m = data.draw(st.integers(n, n + 3))
@@ -383,19 +429,22 @@ class TestCertificates:
             # typed: cells across types are inf in blocks, and every type fits
             det = cand[data.draw(st.permutations(range(m)))[:n]]
             totals = np.where(det[:, None] != cand, np.inf, totals)
-        rows, sigma, base, budget = certificate_args(totals)
+        sigma, base, budget = certificate_args(totals)
         # integer cells lie far outside solve's budget; wider ones put some
         # cells between the budget and the re-solve's raised held cells
         budget = data.draw(st.sampled_from((budget, 0.5, 0.75, 1.5)))
-        held = None
-        if data.draw(st.booleans()):
-            groups = solver._column_groups(totals)
-            held = groups[sigma][:, None] == groups
-        args = (totals, rows, sigma, base, budget, held)
-        assert solver._unique_within_window(*args) == reference_unique_within_window(*args)
+        groups = column_groups(totals)
+        held = groups[sigma][:, None] == groups
+        cols = solver._certified_cols(totals, sigma, base, budget)
+        expected = reference_unique_within_window(totals, sigma, base, budget, held)
+        assert (cols is not None) == expected
+        if cols is not None:
+            assert cols.tolist() == reference_group_cols(groups, sigma)
 
     def test_certificate_is_sound(self):
-        # whenever it holds, no second assignment lies within the budget
+        # whenever it holds, every assignment within the budget keeps each
+        # row in sigma's cell or a byte-equal twin's, so without twins no
+        # second one does, and the columns returned are the smallest of them
         rng = np.random.default_rng(29)
         contested = certified = 0
         for trial in range(600):
@@ -404,18 +453,24 @@ class TestCertificates:
             costs = rng.integers(0, 4, size=(n, m)).astype(float)
             if trial % 3 == 0:
                 costs = costs[:, rng.integers(0, m, size=m)]
-            rows, sigma, base, budget = certificate_args(costs)
-            best = float(base.sum())
+            sigma, base, budget = certificate_args(costs)
+            rows = np.arange(n)
             rest = costs - base[:, None]
             rest[rows, sigma] = np.inf
             screened = rest.min() > budget
             contested += not screened
-            if not solver._unique_within_window(costs, rows, sigma, base, budget):
+            cols = solver._certified_cols(costs, sigma, base, budget)
+            if cols is None:
                 continue
             certified += not screened
+            groups = column_groups(costs)
+            held = groups[sigma][:, None] == groups
             perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
             totals = costs[rows[None, :], perms].sum(axis=1)
-            assert np.count_nonzero(totals <= best + budget) == 1
+            near = perms[totals <= float(base.sum()) + budget]
+            assert held[rows[None, :], near].all()
+            assert len(near) == 1 or np.count_nonzero(held) > n
+            assert cols.tolist() == near[0].tolist()
         assert contested >= 300
         assert certified > 0
 
@@ -439,9 +494,9 @@ class TestCertificates:
 
 
 class TestDuplicateGroups:
-    """The duplicate-group step: when sigma's columns have byte-equal twins
-    (identical objects stacked on one pose), the certificate held to
-    sigma's groups settles the tie without the row scan."""
+    """Twins: when sigma's columns have byte-equal twins (identical objects
+    stacked on one pose), the certificate, holding each row to its sigma
+    column's twins, settles the tie without the row scan."""
 
     @staticmethod
     def duplicate_heavy(rng, trial: int, shapes) -> tuple[np.ndarray, tuple, tuple]:
@@ -470,9 +525,43 @@ class TestDuplicateGroups:
         return totals, tuple(det.tolist()), tuple(cand.tolist())
 
     def test_column_groups_are_byte_equal(self):
+        # column 2 holds -0.0 where columns 0 and 3 hold 0.0, and columns 1
+        # and 4 share their inf: row 0 holds columns 0 and 3, row 1 column
+        # 2 alone, though each row's rest is 0.0 at columns 0, 2 and 3
         costs = np.array([[0.0, 1.0, -0.0, 0.0, 1.0], [2.0, np.inf, 2.0, 2.0, np.inf]])
-        assert solver._column_groups(costs).tolist() == [0, 1, 2, 0, 1]
-        assert solver._group_cols(np.array([0, 1, 2, 0, 1]), np.array([3, 4])).tolist() == [0, 1]
+        assert column_groups(costs).tolist() == [0, 1, 2, 0, 1]
+        sigma = np.array([3, 2])
+        held = solver._twins(costs, sigma)
+        assert held.tolist() == [[1, 0, 0, 1, 0], [0, 0, 1, 0, 0]]
+        assert solver._group_cols(held, sigma).tolist() == [0, 2]
+        # rows held to one group take its columns in order
+        groups = column_groups(costs)
+        for sigma, expected in (([3, 4], [0, 1]), ([3, 0], [0, 3])):
+            held = groups[sigma][:, None] == groups
+            assert solver._group_cols(held, np.array(sigma)).tolist() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_twins_match_column_groups(self, data):
+        # duplicate-heavy, signed-zero and typed tables: the mask is exactly
+        # the columns of sigma's byte-equal group, row by row; a comparison
+        # by value would join -0.0 and 0.0
+        n = data.draw(st.integers(1, 5))
+        m = data.draw(st.integers(n, n + 4))
+        cells = st.sampled_from((0.0, -0.0, 1.0, 2.5)) | st.floats(-4.0, 4.0)
+        totals = np.array(data.draw(st.lists(cells, min_size=n * m, max_size=n * m)))
+        totals = totals.reshape(n, m)
+        cand = np.array(data.draw(st.lists(st.sampled_from("ab"), min_size=m, max_size=m)))
+        if data.draw(st.booleans()):
+            sources = data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+            totals, cand = totals[:, sources], cand[sources]
+        if data.draw(st.booleans()):
+            det = cand[data.draw(st.permutations(range(m)))[:n]]
+            totals = np.where(det[:, None] != cand, np.inf, totals)
+        sigma = linear_sum_assignment(totals)[1]
+        groups = column_groups(totals)
+        expected = groups[sigma][:, None] == groups
+        assert np.array_equal(solver._twins(totals, sigma), expected)
 
     def test_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(59)
@@ -489,6 +578,38 @@ class TestDuplicateGroups:
             assert_matches_oracle(AssignmentProblem(matrix, category_separated=typed))
         assert len(grouped) >= 150
 
+    def test_twin_stop_makes_at_most_two_solves(self, monkeypatch):
+        # a stop whose sigma has twins pays one LSA for sigma and at most
+        # one raised re-solve before any row scan; the all-zero table is
+        # settled by the held row screen, after sigma's LSA alone
+        calls, starts = [], []  # LSA calls; LSA calls made when a scan starts
+        lsa, scan = solver.linear_sum_assignment, solver._scan_cols
+        monkeypatch.setattr(solver, "linear_sum_assignment", lambda c: calls.append(1) or lsa(c))
+        monkeypatch.setattr(solver, "_scan_cols", lambda *a: starts.append(len(calls)) or scan(*a))
+        rng = np.random.default_rng(73)
+        shapes = tuple((n, m) for n, m in ORACLE_SHAPES if n >= 2)
+        twins = re_solved = 0
+        for trial in range(400):
+            totals, det, cand = self.duplicate_heavy(rng, trial, shapes)
+            typed = trial % 2 == 1
+            cross = np.array(det)[:, None] != np.array(cand)
+            costs = np.where(cross, np.inf, totals) if typed else totals
+            sigma = lsa(costs)[1]
+            groups = column_groups(costs)
+            if np.count_nonzero(groups[sigma][:, None] == groups) == len(sigma):
+                continue
+            calls.clear()
+            starts.clear()
+            solve(AssignmentProblem(matrix_from(totals, det if typed else None, cand), typed))
+            certificate = starts[0] if starts else len(calls)
+            assert certificate <= 2
+            twins += 1
+            re_solved += certificate == 2
+        assert twins >= 300 and re_solved >= 200
+        calls.clear()
+        solve(AssignmentProblem(matrix_from(np.zeros((4, 6)))))
+        assert len(calls) == 1
+
     def test_all_zero_table_settles_in_the_certificate(self, scans):
         # every column is one group: the held certificate's row screen
         # leaves no cell, so each row takes the next column in order
@@ -496,6 +617,23 @@ class TestDuplicateGroups:
         assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(4))
         assert result.total_cost == 0.0
         assert scans == []
+
+    def test_all_twin_table_stays_near_its_size(self, scans):
+        # every column equal, so every cell of rest is 0.0: the twin mask
+        # groups the columns once, where comparing each 0.0 cell's column
+        # with its row's sigma column would take n times the table (~200 MB)
+        n, m = 200, 300
+        totals = np.repeat(np.random.default_rng(79).uniform(0.0, 1.0, (n, 1)), m, axis=1)
+        matrix = matrix_from(totals)
+        tracemalloc.start()
+        try:
+            result = solve(AssignmentProblem(matrix))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.pairs == tuple((i, f"c-{i:02d}") for i in range(n))
+        assert scans == []
+        assert peak < 20 * totals.nbytes
 
     def test_matches_scan_from_sigma(self):
         # twin tables up to 32 rows: each object's column appears once to
@@ -554,32 +692,34 @@ class TestDuplicateGroups:
         assert scans == [(3, 4)]
 
     def test_held_certificate_is_sound(self):
-        # whenever the certificate held to sigma's groups holds, every
-        # assignment within the budget keeps each row in its group, at
-        # sigma's cells row by row
+        # whenever the certificate holds on a stop whose sigma has twins,
+        # every assignment within the budget keeps each row in its group,
+        # at sigma's cells row by row, and the columns returned are the
+        # smallest of them
         rng = np.random.default_rng(67)
         shapes = tuple((n, m) for n, m in ORACLE_SHAPES if math.perm(m, n) <= 50_000)
         contested = certified = 0
         for trial in range(600):
             totals, det, cand = self.duplicate_heavy(rng, trial, shapes)
             costs = np.where(np.array(det)[:, None] != np.array(cand), np.inf, totals)
-            rows, sigma, base, budget = certificate_args(costs)
-            if solver._unique_within_window(costs, rows, sigma, base, budget):
-                continue
-            groups = solver._column_groups(costs)
+            sigma, base, budget = certificate_args(costs)
+            groups = column_groups(costs)
             held = groups[sigma][:, None] == groups
             if np.count_nonzero(held) == len(sigma):
                 continue
             contested += 1
-            if not solver._unique_within_window(costs, rows, sigma, base, budget, held):
+            cols = solver._certified_cols(costs, sigma, base, budget)
+            if cols is None:
                 continue
             certified += 1
             n, m = costs.shape
+            rows = np.arange(n)
             perms = np.array(list(itertools.permutations(range(m), n)), dtype=np.intp)
             totals = costs[rows[None, :], perms].sum(axis=1)
             near = perms[totals <= float(base.sum()) + budget]
             assert held[rows[None, :], near].all()
             assert (costs[rows[None, :], near] == base).all()
+            assert cols.tolist() == near[0].tolist()
         assert contested >= 200
         assert certified >= 100
 
@@ -768,7 +908,7 @@ class TestCategorySeparation:
                 return
             slow = brute_force_solve(problem)
             assert fast.pairs == slow.pairs
-            assert fast.total_cost == slow.total_cost
+            assert repr(fast.total_cost) == repr(slow.total_cost)
 
         for _ in range(100):
             n = int(rng.integers(1, 6))
