@@ -16,7 +16,8 @@ from relabel import (
     generate_scene,
     patrol_route,
     perturb_layout,
-    resolve_identities,
+    prepare_problem,
+    solve,
     synthesize_observation,
     visible_objects,
 )
@@ -44,11 +45,14 @@ print(f"camera at ({camera.position[0]:.1f}, {camera.position[1]:.1f}), "
 
 # Resolve identities against the remembered (pre-shuffle) layout.  The
 # threshold keeps only the likeliest storage sites as label sources; 0.6
-# covers the closest sites while skipping the far side of the room.
-result = resolve_identities(layout, observation, threshold=0.6)
-print(f"candidate pool {result.candidate_count} labels from "
-      f"{result.pruned_site_count} kept sites "
-      f"(effective threshold {result.effective_threshold:.2f})")
+# covers the closest sites while skipping the far side of the room.  The
+# prepared problem's plan says which sites and labels pruning kept.
+prepared = prepare_problem(layout, observation, threshold=0.6)
+result = solve(prepared.problem)
+plan = prepared.plan
+print(f"candidate pool {len(plan.candidates)} labels from "
+      f"{len(plan.kept_site_ids)} kept sites "
+      f"(effective threshold {plan.effective_threshold:.2f})")
 print()
 
 print(f"{'detection':>9}  {'at (x, z)':>12}  {'assigned':>9}  {'true':>9}  ok")

@@ -55,9 +55,9 @@ print()
 # the assignment becomes feasible and reports the coverage it actually
 # needed as the effective threshold.
 observation = synthesize_observation(layout, camera)
-prepared = prepare_problem(layout, observation, threshold=0.05)
+plan = prepare_problem(layout, observation, threshold=0.05).plan
 print(f"{len(observation.detections)} detections at this stop")
-print(f"requested threshold {prepared.requested_threshold:.2f} -> "
-      f"kept {len(prepared.kept_site_ids)} sites, "
-      f"{len(prepared.candidates)} candidates, "
-      f"effective threshold {prepared.effective_threshold:.2f}")
+print(f"requested threshold {plan.threshold:.2f} -> "
+      f"kept {len(plan.kept_site_ids)} sites, "
+      f"{len(plan.candidates)} candidates, "
+      f"effective threshold {plan.effective_threshold:.2f}")

@@ -135,7 +135,7 @@ def _cmd_generate(args: argparse.Namespace, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _assign_report(args: argparse.Namespace) -> tuple[str, dict]:
+def _assign_report(args: argparse.Namespace) -> str:
     layout = load_scene(args.scene)
     observation = load_observation(args.observation)
     prepared = prepare_problem(
@@ -146,50 +146,36 @@ def _assign_report(args: argparse.Namespace) -> tuple[str, dict]:
         category_separated=args.category_separated,
     )
     result = solve(prepared.problem)
-    matrix = prepared.problem.matrix
+    matrix, plan = prepared.problem.matrix, prepared.plan
     column = {label: j for j, label in enumerate(matrix.candidates)}
-    terms = cost_terms(
-        object_arrays(observation.detections), object_arrays(prepared.candidates), layout.bounds
-    )
+    # a cost table holds only its total, so the report rebuilds the terms
+    terms = cost_terms(object_arrays(observation.detections), plan.pool, layout.bounds)
+    names = ("c_t", "c_r", "c_d", "total")
 
-    lines = [f"{'detection':>9}  {'label':<16} {'c_t':>10} {'c_r':>10} {'c_d':>10} {'total':>10}"]
+    lines = [f"{'detection':>9}  {'label':<16} " + " ".join(f"{name:>10}" for name in names)]
     pair_docs = []
     for i, label in result.pairs:
-        j = column[label]
-        c_t, c_r, c_d = [float(term[i, j]) for term in terms]
-        total = float(matrix.total[i, j])
-        lines.append(
-            f"{i:>9}  {label:<16} {c_t:>10.6f} {c_r:>10.6f} {c_d:>10.6f} {total:>10.6f}"
-        )
-        pair_docs.append(
-            {
-                "detection": i,
-                "label": label,
-                "c_t": c_t,
-                "c_r": c_r,
-                "c_d": c_d,
-                "total": total,
-            }
-        )
+        cells = [float(term[i, column[label]]) for term in (*terms, matrix.total)]
+        lines.append(f"{i:>9}  {label:<16} " + " ".join(f"{cell:>10.6f}" for cell in cells))
+        pair_docs.append({"detection": i, "label": label, **dict(zip(names, cells))})
     lines.append(
         f"total_cost={result.total_cost!r} n={matrix.shape[0]} m={matrix.shape[1]} "
-        f"effective_threshold={prepared.effective_threshold!r}"
+        f"effective_threshold={plan.effective_threshold!r}"
     )
     doc = {
         "pairs": pair_docs,
         "total_cost": result.total_cost,
         "n": matrix.shape[0],
         "m": matrix.shape[1],
-        "pruned_site_count": len(prepared.kept_site_ids),
-        "requested_threshold": prepared.requested_threshold,
-        "effective_threshold": prepared.effective_threshold,
+        "pruned_site_count": len(plan.kept_site_ids),
+        "requested_threshold": plan.threshold,
+        "effective_threshold": plan.effective_threshold,
     }
-    text = json.dumps(doc, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
-    return text, doc
+    return json.dumps(doc, indent=2) + "\n" if args.json else "\n".join(lines) + "\n"
 
 
 def _cmd_assign(args: argparse.Namespace, argv: list[str]) -> int:
-    text, _doc = _assign_report(args)
+    text = _assign_report(args)
     outputs = []
     if args.out is not None:
         out_path = Path(args.out)
@@ -231,7 +217,9 @@ def _sweep_layout(args: argparse.Namespace) -> SceneLayout:
 def _sweep_route(args: argparse.Namespace, layout: SceneLayout) -> CameraPath:
     if args.path is not None:
         return load_path(args.path)
-    return patrol_route(layout, speed=args.speed, stop_interval=args.stop_interval)
+    speed = 1.0 if args.speed is None else args.speed
+    stop_interval = 100.0 if args.stop_interval is None else args.stop_interval
+    return patrol_route(layout, speed=speed, stop_interval=stop_interval)
 
 
 def _noise_plots(result: SweepResult, out_dir: Path) -> list[str]:
@@ -291,6 +279,10 @@ def _sweep_usage_error(args: argparse.Namespace) -> str | None:
     ):
         if value is not None and args.mode != mode:
             return f"{flag} applies to --mode {mode} only"
+    # a route file carries its own speed and stop interval
+    for flag, value in (("--speed", args.speed), ("--stop-interval", args.stop_interval)):
+        if value is not None and args.path is not None:
+            return f"{flag} applies to the default route only, not to --path"
     if args.noise is not None:
         if len(args.noise) > 2:
             return f"--noise takes A or A,B, got {len(args.noise)} values"
@@ -358,8 +350,8 @@ def _cmd_sweep(args: argparse.Namespace, argv: list[str]) -> int:
         "fov": args.fov,
         "range": args.range,
         "frame_rate": args.frame_rate,
-        "speed": args.speed,
-        "stop_interval": args.stop_interval,
+        "speed": route.speed,
+        "stop_interval": route.stop_interval,
         "scene": args.scene,
         "archetype": None if args.scene is not None else args.archetype,
     }
@@ -434,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--fov", type=float, default=60.0)
     swp.add_argument("--range", type=float, default=10.0)
     swp.add_argument("--frame-rate", type=float, default=60.0)
-    swp.add_argument("--speed", type=float, default=1.0, help="camera speed for the default route")
-    swp.add_argument("--stop-interval", type=float, default=100.0, help="frames between stops")
+    swp.add_argument("--speed", type=float, help="camera speed of the default route (default 1.0)")
+    swp.add_argument("--stop-interval", type=float, help="frames between default-route stops (100)")
     swp.add_argument("--plots", action="store_true", help="also write SVG charts")
     swp.add_argument("--out-dir", default=None, help=f"output directory (default ${ENV_OUT_DIR} or .)")
     swp.set_defaults(func=_cmd_sweep)

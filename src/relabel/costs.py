@@ -142,6 +142,10 @@ class CostMatrix:
 
     def __post_init__(self) -> None:
         n, m = len(self.detection_types), len(self.candidates)
+        if len(self.candidate_types) != m:
+            raise SceneValidationError(
+                f"{len(self.candidate_types)} candidate types for {m} labels"
+            )
         # float64 whatever the input, uncopied when it already is: the
         # solver runs on float64 cells and groups twin columns by their bytes
         total = np.asarray(self.total, dtype=np.float64)
@@ -200,8 +204,14 @@ def score_arrays(
     candidate object of another, in the order of each view; the
     candidates' labels name the columns."""
     c_t, c_r, c_d = cost_terms(detections, candidates, bounds)
+    # c_d * (w_t * c_t + w_r * c_r), the same operations in the same order,
+    # in the terms' own buffers: the peak stays near three tables
     with np.errstate(over="ignore"):
-        total = c_d * (weights.w_t * c_t + weights.w_r * c_r)
+        c_t *= weights.w_t
+        c_r *= weights.w_r
+        c_t += c_r
+        total = np.multiply(c_d, c_t, out=c_d)
+    del c_t, c_r
     # the solver sums up to one cell per row, and its tie window and margins
     # add a little more: twice every row at the largest cell must be finite
     if not math.isfinite(float(total.max(initial=0.0)) * 2.0 * len(total)):

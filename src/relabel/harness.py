@@ -193,7 +193,7 @@ def score_stop(
     accuracy = correct / n if n else None
     return StopRecord(
         name, a, b, stop, n, m, correct, accuracy, solve_ms, threshold,
-        prepared.effective_threshold, rep,
+        prepared.plan.effective_threshold, rep,
     )
 
 

@@ -27,7 +27,6 @@ row scan.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -83,18 +82,12 @@ class AssignmentProblem:
 
 @dataclass(frozen=True, slots=True)
 class AssignmentResult:
-    """Chosen (detection index, label) pairs, sorted by detection index.
-
-    pruned_site_count and effective_threshold describe the site pruning that
-    shaped the candidate pool; they stay 0 / None when the problem was built
-    directly from a cost matrix.
-    """
+    """Chosen (detection index, label) pairs, sorted by detection index,
+    and their canonical total.  What pruning kept is the stop plan's
+    (`PreparedProblem.plan`)."""
 
     pairs: tuple[tuple[int, str], ...]
     total_cost: float
-    pruned_site_count: int = 0
-    candidate_count: int = 0
-    effective_threshold: float | None = None
 
     @property
     def mapping(self) -> dict[int, str]:
@@ -176,8 +169,8 @@ def _certified_cols(
 
 
 def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
-    """Columns of the canonical optimal assignment for a dense cost block,
-    and their canonical total.
+    """Columns of the canonical optimal assignment for a dense cost block
+    of no more rows than columns, and their canonical total.
 
     One solve gives an optimum, sigma; the certificate either shows that
     every other assignment within the tie window only moves rows between
@@ -186,9 +179,6 @@ def _canonical_cols(costs: np.ndarray) -> tuple[np.ndarray, float]:
     from sigma, rebuilds the lexicographically smallest in-window column
     tuple.
     """
-    n, m = costs.shape
-    if n > m:
-        raise InfeasibleAssignmentError(n, m)
     rows, sigma = linear_sum_assignment(costs)
     base = costs[rows, sigma]
     best_value = float(base.sum())
@@ -280,33 +270,37 @@ def _scan_cols(costs: np.ndarray, window: float, cols: np.ndarray) -> np.ndarray
     return cols
 
 
-def _require_typed(detection_types: tuple[str | None, ...]) -> tuple[str, ...]:
+def _shortfall(
+    detection_types: tuple[str | None, ...],
+    candidate_types: tuple[str, ...],
+    category_separated: bool,
+) -> InfeasibleAssignmentError | None:
+    """Why a pool of labels of `candidate_types` cannot take detections of
+    `detection_types`, or None when it can: it needs a label per detection
+    and, with category separation, a label of each detection's type, when
+    the error names the first short type in sorted order.  Category
+    separation requires every detection to carry a type."""
+    if not category_separated:
+        n, m = len(detection_types), len(candidate_types)
+        return InfeasibleAssignmentError(n, m) if n > m else None
     for i, object_type in enumerate(detection_types):
         if object_type is None:
             raise SceneValidationError(
                 f"detections[{i}] has no type; per-type assignment requires every "
                 "detection to carry one"
             )
-    return detection_types  # type: ignore[return-value]
-
-
-def _type_shortfall(
-    detection_types: tuple[str, ...], candidate_types: tuple[str, ...]
-) -> tuple[str, int, int] | None:
-    """The first type, in sorted order, with more detections than candidate
-    labels, as (type, detections, candidates); None when every type fits."""
     need = Counter(detection_types)
     have = Counter(candidate_types)
     for object_type in sorted(need):
         if need[object_type] > have[object_type]:
-            return object_type, need[object_type], have[object_type]
+            return InfeasibleAssignmentError(need[object_type], have[object_type], object_type)
     return None
 
 
 def _as_result(matrix: CostMatrix, cols: np.ndarray, total: float) -> AssignmentResult:
     labels = matrix.candidates
     pairs = tuple(enumerate([labels[c] for c in cols.tolist()]))
-    return AssignmentResult(pairs=pairs, total_cost=total, candidate_count=matrix.shape[1])
+    return AssignmentResult(pairs=pairs, total_cost=total)
 
 
 def solve(problem: AssignmentProblem) -> AssignmentResult:
@@ -314,20 +308,20 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
 
     With category separation, detections may only take labels of objects of
     the same type: the other cells are forbidden (infinite), and the same
-    solve runs with the whole instance's tie window.
+    solve runs with the whole instance's tie window.  Raises
+    InfeasibleAssignmentError when the candidates cannot take the
+    detections (`_shortfall`).
     """
     matrix = problem.matrix
-    n, m = matrix.shape
-    if n == 0:
-        return AssignmentResult(pairs=(), total_cost=0.0, candidate_count=m)
+    if not matrix.detection_types:
+        return AssignmentResult(pairs=(), total_cost=0.0)
+    short = _shortfall(matrix.detection_types, matrix.candidate_types, problem.category_separated)
+    if short is not None:
+        raise short
     costs = matrix.total
     if problem.category_separated:
-        det_types = _require_typed(matrix.detection_types)
-        short = _type_shortfall(det_types, matrix.candidate_types)
-        if short is not None:
-            object_type, need, have = short
-            raise InfeasibleAssignmentError(need, have, category=object_type)
-        cross = np.array(det_types)[:, None] != np.array(matrix.candidate_types)[None, :]
+        det_types = np.array(matrix.detection_types)
+        cross = det_types[:, None] != np.array(matrix.candidate_types)[None, :]
         costs = np.where(cross, np.inf, costs)
     return _as_result(matrix, *_canonical_cols(costs))
 
@@ -340,7 +334,7 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
     matrix = problem.matrix
     n, m = matrix.shape
     if n == 0:
-        return AssignmentResult(pairs=(), total_cost=0.0, candidate_count=m)
+        return AssignmentResult(pairs=(), total_cost=0.0)
     if n > m:
         raise InfeasibleAssignmentError(n, m)
     if n > _BRUTE_FORCE_MAX_N or m > _BRUTE_FORCE_MAX_M:
@@ -350,7 +344,9 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
         )
     costs = matrix.total
     if problem.category_separated:
-        det_types = _require_typed(matrix.detection_types)
+        det_types = matrix.detection_types
+        if None in det_types:
+            raise SceneValidationError("per-type assignment requires typed detections")
         mismatch = np.array(
             [[dt != ct for ct in matrix.candidate_types] for dt in det_types], dtype=bool
         )
@@ -374,13 +370,16 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PreparedProblem:
-    """A pruned, costed assignment instance ready to solve."""
+    """A pruned, costed assignment instance ready to solve, and the stop
+    plan whose pool its columns are: the plan it was prepared from, or the
+    one that re-admitted sites for its detections (`StopPlan._admit`)."""
 
     problem: AssignmentProblem
-    candidates: tuple[ObjectInstance, ...]
-    kept_site_ids: frozenset[str]
-    requested_threshold: float
-    effective_threshold: float
+    plan: StopPlan
+
+    @property
+    def candidates(self) -> tuple[ObjectInstance, ...]:
+        return self.plan.candidates
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -410,31 +409,19 @@ class StopPlan:
     def _admit(
         self, detection_types: tuple[str | None, ...], category_separated: bool
     ) -> StopPlan:
-        """This plan when its pool can take the detections; otherwise the
-        plan that re-admits sites one at a time in probability order until
-        the instance becomes feasible or every site is kept.  Its effective
-        threshold is the cumulative probability actually covered.  The plan
-        itself never changes."""
-        if category_separated:
-            _require_typed(detection_types)
+        """This plan when its pool can take the detections (`_shortfall`);
+        otherwise the plan that re-admits sites one at a time in probability
+        order until the instance becomes feasible or every site is kept.
+        Its effective threshold is the cumulative probability actually
+        covered.  The plan itself never changes."""
         plan, depth = self, len(self.kept_site_ids) - 1
-        while depth < len(self.probabilities.entries) and (
-            _type_shortfall(detection_types, plan.pool.types) is not None
-            if category_separated
-            else len(detection_types) > len(plan.pool.types)
+        while (
+            _shortfall(detection_types, plan.pool.types, category_separated) is not None
+            and depth < len(self.probabilities.entries)
         ):
             depth += 1
             plan = _plan_at(self.layout, self.camera, self.threshold, self.probabilities, depth)
         return plan
-
-    def _prepared(self, matrix: CostMatrix, category_separated: bool) -> PreparedProblem:
-        return PreparedProblem(
-            problem=AssignmentProblem(matrix=matrix, category_separated=category_separated),
-            candidates=self.pool.objects,
-            kept_site_ids=self.kept_site_ids,
-            requested_threshold=self.threshold,
-            effective_threshold=self.effective_threshold,
-        )
 
     def prepare(
         self,
@@ -453,7 +440,7 @@ class StopPlan:
         detections = object_arrays(observation.detections)
         plan = self._admit(detections.types, category_separated)
         matrix = score_arrays(detections, plan.pool, plan.layout.bounds, weights)
-        return plan._prepared(matrix, category_separated)
+        return PreparedProblem(AssignmentProblem(matrix, category_separated), plan)
 
     def prepare_rows(
         self, table: CostMatrix, rows: np.ndarray, category_separated: bool = False
@@ -481,7 +468,7 @@ class StopPlan:
             detection_types=detection_types,
             total=table.total.take(rows, axis=0).take(cols, axis=1),  # [np.ix_(rows, cols)]
         )
-        return plan._prepared(matrix, category_separated)
+        return PreparedProblem(AssignmentProblem(matrix, category_separated), plan)
 
 
 def _plan_at(
@@ -540,18 +527,8 @@ def resolve_identities(
     weights: CostWeights | None = None,
     category_separated: bool = False,
 ) -> AssignmentResult:
-    """End-to-end identity resolution for one observation of a changed scene."""
-    prepared = prepare_problem(
-        layout,
-        observation,
-        threshold=threshold,
-        weights=weights,
-        category_separated=category_separated,
-    )
-    result = solve(prepared.problem)
-    return dataclasses.replace(
-        result,
-        pruned_site_count=len(prepared.kept_site_ids),
-        candidate_count=len(prepared.candidates),
-        effective_threshold=prepared.effective_threshold,
-    )
+    """End-to-end identity resolution for one observation of a changed
+    scene: `solve` of `prepare_problem`'s problem, whose `plan` says what
+    pruning kept."""
+    prepared = prepare_problem(layout, observation, threshold, weights, category_separated)
+    return solve(prepared.problem)

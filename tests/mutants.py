@@ -4,10 +4,11 @@ Every mutant names a file under `src/relabel/`, a snippet that occurs
 exactly once in it, the snippet's replacement, and the test nodes that
 must catch it.  The runner first runs every named node on an unmutated
 copy of `src/`, which must pass.  Then, per mutant, it copies `src/` to a
-temporary directory, applies the mutant, and runs its nodes there; pytest
-must exit nonzero.  A snippet that no longer occurs exactly once fails the
-runner by name, so the list cannot rot silently.  Pytest does not collect
-this file; run it from the repository root:
+temporary directory, applies the mutant, and runs its nodes there; every
+node must fail (a test file, by one of its tests).  A snippet that no
+longer occurs exactly once fails the runner by name, so the list cannot
+rot silently.  Pytest does not collect this file; run it from the
+repository root:
 
     python -m tests.mutants
 
@@ -27,6 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py"
+PROBE = f"{SOLVER}::TestLexicographicProbe::test_no_permuted_optimum_is_smaller"
+FEASIBILITY = f"{SOLVER}::TestFeasibilityRule"
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,29 @@ MUTANTS = (
         (
             "tests/test_murty_oracle.py",
             f"{SOLVER}::TestRowScan::test_result_is_independent_of_the_start",
+            PROBE,
         ),
+    ),
+    Mutant(
+        "sigma taken as canonical without the certificate",
+        "solver.py",
+        "cols = _certified_cols(costs, sigma, base, 2 * (window - best_value))",
+        "cols = sigma",
+        (PROBE, f"{SOLVER}::TestTieHeavy::test_integer_costs"),
+    ),
+    Mutant(
+        "the untyped rule admits one detection too many",
+        "solver.py",
+        "return InfeasibleAssignmentError(n, m) if n > m else None",
+        "return InfeasibleAssignmentError(n, m) if n > m + 1 else None",
+        (f"{SOLVER}::TestSolveBasics::test_more_detections_than_candidates", FEASIBILITY),
+    ),
+    Mutant(
+        "a plan re-admits sites by the untyped rule under category separation",
+        "solver.py",
+        "_shortfall(detection_types, plan.pool.types, category_separated) is not None",
+        "_shortfall(detection_types, plan.pool.types, False) is not None",
+        (FEASIBILITY,),
     ),
     Mutant(
         "float sums compensated, as the built-in sum is from Python 3.12",
@@ -98,6 +123,42 @@ MUTANTS = (
         "return functools.reduce(operator.add, values, 0.0)",
         "return math.fsum(values)",
         ("tests/test_partition.py::TestProbabilities::test_normalising_total_sums_left_to_right",),
+    ),
+    Mutant(
+        "sites of equal probability ranked in descending id order",
+        "partition.py",
+        "key=lambda t: (-t[2], t[0].id))",
+        "key=lambda t: (t[2], t[0].id), reverse=True)",
+        ("tests/test_partition.py::TestProbabilities::test_probability_invariants",),
+    ),
+    Mutant(
+        "each entry's cumulative lags one entry behind",
+        "partition.py",
+        "cumulative += prob",
+        "cumulative += ranked[-1].probability if ranked else 0.0",
+        ("tests/test_partition.py::TestProbabilities::test_probability_invariants",),
+    ),
+    Mutant(
+        "the bearing mirrored about the camera's axis",
+        "scene.py",
+        "bearing = math.degrees(math.atan2(dx, dz))",
+        "bearing = math.degrees(math.atan2(-dx, dz))",
+        ("tests/test_scene.py::TestVisibility::test_bearing_convention",),
+    ),
+    Mutant(
+        "a cost table whose sums overflow is accepted",
+        "costs.py",
+        "if not math.isfinite(float(np.abs(total).max(initial=0.0)) * 2.0 * n):",
+        "if False:",
+        ("tests/test_costs.py::TestCostMatrix::test_overflowing_sums_rejected_by_name",),
+    ),
+    Mutant(
+        "the report reads c_t at [j, i]",
+        "cli.py",
+        "cells = [float(term[i, column[label]]) for term in (*terms, matrix.total)]",
+        "cells = [float(term[i, column[label]]) for term in (*terms, matrix.total)]\n"
+        "        cells[0] = float(terms[0][column[label], i])",
+        ("tests/test_cli.py::TestAssign::test_report_cells_match_scalar_costs",),
     ),
 )
 
@@ -108,15 +169,28 @@ def _copy_src(into: Path) -> Path:
     return src
 
 
-def _pytest(src: Path, nodes: tuple[str, ...]) -> int:
-    """Exit status of pytest on `nodes`, importing the package from `src`."""
+def _pytest(src: Path, nodes: tuple[str, ...]) -> tuple[int, list[str]]:
+    """Exit status of pytest on `nodes`, importing the package from `src`,
+    and the ids it reports failed or in error."""
     env = dict(os.environ, PYTHONPATH=str(src))
     probe = [sys.executable, "-c", "import relabel; print(relabel.__file__)"]
     imported = subprocess.run(probe, env=env, cwd=ROOT, capture_output=True, text=True, check=True)
     if not Path(imported.stdout.strip()).is_relative_to(src):
         raise SystemExit(f"the tests import relabel from {imported.stdout.strip()}, not {src}")
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *nodes]
-    return subprocess.run(command, env=env, cwd=ROOT, stdout=subprocess.DEVNULL).returncode
+    command = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *nodes]
+    run = subprocess.run(command, env=env, cwd=ROOT, capture_output=True, text=True)
+    lines = run.stdout.splitlines()
+    failed = [line.split(" ")[1] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode, failed
+
+
+def _caught(node: str, failed: list[str]) -> bool:
+    """Whether a failed id is `node`, a test or case under it, or the file
+    of `node` when it failed to import."""
+    return any(
+        f == node or f.startswith((f"{node}::", f"{node}[")) or node.startswith(f"{f}::")
+        for f in failed
+    )
 
 
 def main() -> int:
@@ -130,7 +204,7 @@ def main() -> int:
         return 1
     with tempfile.TemporaryDirectory() as tmp:
         nodes = tuple(dict.fromkeys(node for mutant in MUTANTS for node in mutant.nodes))
-        if _pytest(_copy_src(Path(tmp)), nodes) != 0:
+        if _pytest(_copy_src(Path(tmp)), nodes)[0] != 0:
             print("the mutants' tests fail on the unmutated source")
             return 1
     for mutant in MUTANTS:
@@ -138,12 +212,15 @@ def main() -> int:
             src = _copy_src(Path(tmp))
             target = src / "relabel" / mutant.file
             target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
-            caught = _pytest(src, mutant.nodes) != 0
-        print(f"{'caught' if caught else 'SURVIVED'}: {mutant.name}")
-        if not caught:
+            failed = _pytest(src, mutant.nodes)[1]
+        missed = [node for node in mutant.nodes if not _caught(node, failed)]
+        print(f"{'SURVIVED' if missed else 'caught'}: {mutant.name}")
+        for node in missed:
+            print(f"    passed: {node}")
+        if missed:
             problems.append(mutant.name)
     if problems:
-        print(f"{len(problems)} mutant(s) survived; add a test that catches each")
+        print(f"{len(problems)} mutant(s) passed a test named for them; add a test that fails")
         return 1
     return 0
 

@@ -403,6 +403,33 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--speed", "--stop-interval"])
+    def test_route_flag_with_a_route_file_exits_2(self, tmp_path, scene_file, capsys, flag):
+        # a route file carries its own speed and stop interval, so the run
+        # would ignore the flag
+        route = tmp_path / "route.json"
+        route.write_text(json.dumps(path_to_dict(patrol_route(load_scene(scene_file)))))
+        out = tmp_path / "ignored"
+        args = ("--scene", str(scene_file), "--path", str(route), "--noise", "0.1")
+        assert run("sweep", *args, flag, "0.5", "--out-dir", str(out)) == 2
+        assert f"{flag} applies to the default route only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_records_the_route_used(self, tmp_path, scene_file):
+        layout = load_scene(scene_file)
+        route = tmp_path / "route.json"
+        route.write_text(json.dumps(path_to_dict(patrol_route(layout, 2.0, 50.0))))
+        for name, extra, used in (
+            ("file", ("--path", str(route)), (2.0, 50.0)),
+            ("default", ("--speed", "0.5"), (0.5, 100.0)),
+            ("defaults", (), (1.0, 100.0)),
+        ):
+            out = tmp_path / name
+            args = ("--scene", str(scene_file), "--noise", "0.1", *extra, "--out-dir", str(out))
+            assert run("sweep", *args) == 0
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert (config["speed"], config["stop_interval"]) == used
+
     def test_scene_file_source(self, tmp_path, scene_file):
         out = tmp_path / "filesweep"
         assert (

@@ -20,9 +20,11 @@ from relabel.costs import (
     dimension_cost,
     pair_cost,
     rotation_cost,
+    score_arrays,
     total_cost,
     translation_cost,
 )
+from relabel.noise import NoiseModel, derive_seed, perturb_layout
 from relabel.scene import (
     BoxDims,
     Detection,
@@ -30,8 +32,10 @@ from relabel.scene import (
     PlanarPose,
     SceneBounds,
     SceneValidationError,
+    layout_arrays,
     object_arrays,
 )
+from relabel.scenegen import CLUSTERED, SceneArchetype, generate_scene
 
 from .conftest import make_detection, make_object
 
@@ -183,6 +187,16 @@ class TestCostMatrix:
         with pytest.raises(SceneValidationError, match=re.escape(f"w_t={w_t!r}, w_r={w_r!r} make")):
             build_cost_matrix(detections, candidates, bounds, weights)
 
+    def test_one_type_per_candidate(self):
+        # the solver's feasibility rule counts labels by their types
+        with pytest.raises(SceneValidationError, match="1 candidate types for 2 labels"):
+            costs.CostMatrix(
+                candidates=("a-01", "a-02"),
+                candidate_types=("chair",),
+                detection_types=(None,),
+                total=np.zeros((1, 2)),
+            )
+
     @pytest.mark.parametrize("cell", [1e308, -1e308])
     def test_overflowing_sums_rejected_by_name(self, cell):
         # every cell is finite, but the solver's sums of two rows are not
@@ -329,6 +343,26 @@ class TestCostMatrixCells:
         whole = self.arrays(detections, candidates)
         assert c_d.tobytes() == whole["c_d"].tobytes()
         assert matrix.total.tobytes() == whole["total"].tobytes()
+
+    def test_cell_table_peaks_near_three_tables(self):
+        # a sweep scores each noise cell's whole layout against the initial
+        # one; the three terms are combined in their own buffers, so the
+        # build never holds more than about three tables at once
+        arch = SceneArchetype(
+            "S1000", sites=25, object_types=5, objects=1000, area=1000.0, placement=CLUSTERED
+        )
+        layout = generate_scene(arch, 0)
+        perturbed = perturb_layout(layout, NoiseModel(t_sd=0.3, r_sd=15.0), derive_seed(1, 0))
+        seen, initial = layout_arrays(perturbed), layout_arrays(layout)
+        weights = default_weights(layout.bounds)
+        score_arrays(seen, initial, layout.bounds, weights)  # warm
+        tracemalloc.start()
+        try:
+            table = score_arrays(seen, initial, layout.bounds, weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * table.total.nbytes
 
     def test_same_type_different_boxes(self):
         # two chairs with different boxes: scoring c_d per type would give
