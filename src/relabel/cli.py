@@ -224,24 +224,19 @@ def _sweep_route(args: argparse.Namespace, layout: SceneLayout) -> CameraPath:
 
 def _noise_plots(result: SweepResult, out_dir: Path) -> list[str]:
     outputs = []
-    by_scene: dict[str, list[tuple[float, float]]] = {}
-    for row in aggregate(result, "translation"):
-        by_scene.setdefault(row.scene, []).append((row.a, row.mean_accuracy))
-    series = tuple(Series(name=scene, points=tuple(pts)) for scene, pts in sorted(by_scene.items()))
-    path = out_dir / "accuracy_vs_translation.svg"
-    write_line_chart(path, "Accuracy vs translation noise", "translation sd (m)", "mean accuracy", series)
-    outputs.append(str(path))
-
-    by_band: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for row in aggregate(result, "rotation"):
-        by_band.setdefault((row.scene, row.band), []).append((row.b, row.mean_accuracy))
-    series = tuple(
-        Series(name=f"{scene} ({band})", points=tuple(pts))
-        for (scene, band), pts in sorted(by_band.items())
-    )
-    path = out_dir / "accuracy_vs_rotation.svg"
-    write_line_chart(path, "Accuracy vs rotation noise", "rotation sd (deg)", "mean accuracy", series)
-    outputs.append(str(path))
+    # summary rows are sorted by their series' fields first, so each series
+    # is one run of rows and the series come in that order
+    for grouping, name, x, title, x_label in (
+        ("translation", "{0.scene}", "a", "Accuracy vs translation noise", "translation sd (m)"),
+        ("rotation", "{0.scene} ({0.band})", "b", "Accuracy vs rotation noise", "rotation sd (deg)"),
+    ):
+        lines: dict[str, list[tuple[float, float]]] = {}
+        for row in aggregate(result, grouping):
+            lines.setdefault(name.format(row), []).append((getattr(row, x), row.mean_accuracy))
+        series = tuple(Series(name=n, points=tuple(points)) for n, points in lines.items())
+        path = out_dir / f"accuracy_vs_{grouping}.svg"
+        write_line_chart(path, title, x_label, "mean accuracy", series)
+        outputs.append(str(path))
     return outputs
 
 

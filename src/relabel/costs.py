@@ -60,7 +60,7 @@ class CostWeights:
         for name in ("w_t", "w_r"):
             value = float(getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
-                raise SceneValidationError(f"weight {name} must be >= 0, got {value}")
+                raise SceneValidationError(f"weight {name} must be finite and >= 0, got {value}")
             object.__setattr__(self, name, value)
         if self.w_t + self.w_r <= 0.0:
             raise SceneValidationError("at least one cost weight must be positive")
@@ -203,10 +203,12 @@ def score_arrays(
     """Total cost of every detection of one array view against every
     candidate object of another, in the order of each view; the
     candidates' labels name the columns."""
-    c_t, c_r, c_d = cost_terms(detections, candidates, bounds)
     # c_d * (w_t * c_t + w_r * c_r), the same operations in the same order,
-    # in the terms' own buffers: the peak stays near three tables
-    with np.errstate(over="ignore"):
+    # in the terms' own buffers: the peak stays near three tables.  A term
+    # may overflow, and an infinite c_d times a zero sum is NaN; the check
+    # below rejects both and names what can cause them
+    with np.errstate(over="ignore", invalid="ignore"):
+        c_t, c_r, c_d = cost_terms(detections, candidates, bounds)
         c_t *= weights.w_t
         c_r *= weights.w_r
         c_t += c_r
@@ -216,7 +218,8 @@ def score_arrays(
     # add a little more: twice every row at the largest cell must be finite
     if not math.isfinite(float(total.max(initial=0.0)) * 2.0 * len(total)):
         raise SceneValidationError(
-            f"weights w_t={weights.w_t!r}, w_r={weights.w_r!r} make the costs overflow"
+            "the cost table overflows: the box dimensions, the positions or the weights "
+            f"w_t={weights.w_t!r}, w_r={weights.w_r!r} make its cells or their sums too large"
         )
     return CostMatrix(
         candidates=tuple([c.label for c in candidates.objects]),

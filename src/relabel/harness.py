@@ -303,60 +303,44 @@ def _mean(values: list[float]) -> float:
     return _left_sum(values) / len(values)
 
 
-def _cell_means(result: SweepResult) -> dict[_CellKey, float]:
-    sums: dict[_CellKey, list[float]] = {}
+def _cell_groups(result: SweepResult, summary: type, keys) -> tuple:
+    """One `summary` row per group of cells, in key order: each cell's mean
+    accuracy joins every group that `keys(scene, a, b)` names for it, and a
+    row holds its group key, the mean of its cell means and their count."""
+    cells: dict[_CellKey, list[float]] = {}
     for r in result.scored():
-        sums.setdefault((r.scene, r.a, r.b, r.rep, r.threshold), []).append(r.accuracy)
-    return {key: _mean(v) for key, v in sums.items()}
+        cells.setdefault((r.scene, r.a, r.b, r.rep, r.threshold), []).append(r.accuracy)
+    groups: dict[tuple, list[float]] = {}
+    for (scene, a, b, _rep, _t), values in sorted(cells.items()):
+        for key in keys(scene, a, b):
+            groups.setdefault(key, []).append(_mean(values))
+    return tuple(summary(*key, _mean(v), len(v)) for key, v in sorted(groups.items()))
 
 
-def _translation_rows(result: SweepResult) -> tuple[TranslationSummary, ...]:
-    groups: dict[tuple[str, float], list[float]] = {}
-    for (scene, a, _b, _rep, _t), value in sorted(_cell_means(result).items()):
-        groups.setdefault((scene, a), []).append(value)
-    return tuple(
-        TranslationSummary(scene=scene, a=a, mean_accuracy=_mean(v), cells=len(v))
-        for (scene, a), v in sorted(groups.items())
-    )
-
-
-def _rotation_rows(result: SweepResult) -> tuple[RotationSummary, ...]:
+def _bands(scene: str, a: float, b: float) -> list[tuple[str, str, float]]:
     # translation sd <= 1 m counts as the low band, >= 1 m as high;
     # sd exactly 1 m belongs to both
-    groups: dict[tuple[str, str, float], list[float]] = {}
-    for (scene, a, b, _rep, _t), value in sorted(_cell_means(result).items()):
-        if a <= 1.0 + 1e-9:
-            groups.setdefault((scene, "low", b), []).append(value)
-        if a >= 1.0 - 1e-9:
-            groups.setdefault((scene, "high", b), []).append(value)
-    return tuple(
-        RotationSummary(scene=scene, band=band, b=b, mean_accuracy=_mean(v), cells=len(v))
-        for (scene, band, b), v in sorted(groups.items())
-    )
+    held = (("low", a <= 1.0 + 1e-9), ("high", a >= 1.0 - 1e-9))
+    return [(scene, band, b) for band, inside in held if inside]
 
 
 def _threshold_rows(result: SweepResult) -> tuple[ThresholdSummary, ...]:
-    accuracy: dict[float, list[float]] = {}
-    candidates: dict[float, list[float]] = {}
-    timing: dict[float, list[float]] = {}
+    groups: dict[float, list[StopRecord]] = {}
     for r in result.rows:
-        candidates.setdefault(r.threshold, []).append(float(r.m))
-        if r.accuracy is not None:
-            accuracy.setdefault(r.threshold, []).append(r.accuracy)
-            timing.setdefault(r.threshold, []).append(r.solve_ms)
+        groups.setdefault(r.threshold, []).append(r)
     rows = []
-    for threshold in sorted(accuracy):
-        acc = accuracy[threshold]
-        cand = candidates[threshold]
-        rows.append(
-            ThresholdSummary(
-                threshold=threshold,
-                mean_accuracy=_mean(acc),
-                mean_candidates=_mean(cand),
-                mean_solve_ms=_mean(timing[threshold]),
-                stops=len(acc),
+    for threshold, group in sorted(groups.items()):
+        scored = [r for r in group if r.accuracy is not None]
+        if scored:
+            rows.append(
+                ThresholdSummary(
+                    threshold=threshold,
+                    mean_accuracy=_mean([r.accuracy for r in scored]),
+                    mean_candidates=_mean([float(r.m) for r in group]),
+                    mean_solve_ms=_mean([r.solve_ms for r in scored]),
+                    stops=len(scored),
+                )
             )
-        )
     return tuple(rows)
 
 
@@ -365,9 +349,9 @@ def aggregate(result: SweepResult, grouping: str):
     scene and translation sd), 'rotation' (per scene, translation band, and
     rotation sd), or 'threshold' (per pruning threshold)."""
     if grouping == "translation":
-        return _translation_rows(result)
+        return _cell_groups(result, TranslationSummary, lambda scene, a, b: [(scene, a)])
     if grouping == "rotation":
-        return _rotation_rows(result)
+        return _cell_groups(result, RotationSummary, _bands)
     if grouping == "threshold":
         return _threshold_rows(result)
     raise SceneValidationError(

@@ -2,10 +2,11 @@
 
 All randomness in the package flows through numpy's PCG64 generator (the
 default_rng algorithm), a named, seedable, portable source: a seed fully
-determines a perturbation on every platform.  Draws happen in label-sorted
-object order, one vectorized batch per component (all x offsets, then all z
-offsets, then all yaw offsets), which keeps results independent of how the
-object tuple happens to be ordered.
+determines a perturbation on every platform.  Draws happen in label order,
+the order of the layout's array view (`scene.layout_arrays`), one vectorized
+batch per component (all x offsets, then all z offsets, then all yaw
+offsets), which keeps results independent of how the object tuple happens
+to be ordered.  The clamps and sums run on those arrays, one step each.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene import ObjectInstance, PlanarPose, SceneLayout, SceneValidationError
+from .scene import ObjectInstance, PlanarPose, SceneLayout, SceneValidationError, layout_arrays
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,33 +78,29 @@ def perturb_layout(
     """Return a copy of `layout` with every object independently disturbed.
 
     x and z offsets are drawn from N(t_mean, t_sd^2), the yaw offset from
-    N(r_mean, r_sd^2).  Yaw offsets are clamped to [-360, 360]; positions
-    are clamped componentwise back into the scene bounds; yaws renormalize
-    to [0, 360).  Zero noise reproduces the layout bit for bit.
+    N(r_mean, r_sd^2), each batch in the label order of the layout's array
+    view (`scene.layout_arrays`).  Yaw offsets are clamped to [-360, 360];
+    positions are clamped componentwise back into the scene bounds; yaws
+    renormalize to [0, 360).  The objects keep the layout's order.  Zero
+    noise reproduces the layout bit for bit.
     """
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    objects = layout.objects
-    n = len(objects)
-    order = sorted(range(n), key=lambda i: objects[i].label)
+    view = layout_arrays(layout)
+    n = len(view.objects)
     dx = rng.normal(noise.t_mean, noise.t_sd, size=n)
     dz = rng.normal(noise.t_mean, noise.t_sd, size=n)
-    dr = np.clip(rng.normal(noise.r_mean, noise.r_sd, size=n), -360.0, 360.0)
-
-    replaced: dict[int, ObjectInstance] = {}
-    for k, i in enumerate(order):
-        obj = objects[i]
-        x = min(max(obj.pose.x + float(dx[k]), 0.0), layout.bounds.width)
-        z = min(max(obj.pose.z + float(dz[k]), 0.0), layout.bounds.depth)
-        yaw = obj.pose.yaw + float(dr[k])
-        replaced[i] = ObjectInstance(
-            label=obj.label,
-            object_type=obj.object_type,
-            pose=PlanarPose(x=x, z=z, yaw=yaw),
-            dims=obj.dims,
-        )
+    dr = rng.normal(noise.r_mean, noise.r_sd, size=n)
+    with np.errstate(over="ignore"):  # a sum past the float range clamps to the bound
+        x = np.minimum(np.maximum(view.x + dx, 0.0), layout.bounds.width)
+        z = np.minimum(np.maximum(view.z + dz, 0.0), layout.bounds.depth)
+    yaw = view.yaw + np.clip(dr, -360.0, 360.0)
+    moved = {
+        obj.label: ObjectInstance(obj.label, obj.object_type, PlanarPose(px, pz, pyaw), obj.dims)
+        for obj, px, pz, pyaw in zip(view.objects, x.tolist(), z.tolist(), yaw.tolist())
+    }
     return SceneLayout(
         name=layout.name,
         bounds=layout.bounds,
         sites=layout.sites,
-        objects=tuple(replaced[i] for i in range(n)),
+        objects=tuple([moved[obj.label] for obj in layout.objects]),
     )

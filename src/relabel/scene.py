@@ -101,6 +101,12 @@ class SceneBounds:
             if value <= 0.0:
                 raise SceneValidationError(f"bounds.{name} must be > 0, got {value}")
             object.__setattr__(self, name, value)
+        # costs divide by the diagonal and default weights scale with the area
+        if not (math.isfinite(self.area()) and math.isfinite(self.diagonal())):
+            raise SceneValidationError(
+                f"bounds {self.width!r} x {self.depth!r} give a floor whose area or "
+                "diagonal overflows"
+            )
 
     def diagonal(self) -> float:
         return math.hypot(self.width, self.depth)

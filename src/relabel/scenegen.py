@@ -106,16 +106,10 @@ def _clustered_positions(
 ) -> list[tuple[float, float]]:
     # object k belongs to cluster (k // types) % len(sites), so every
     # cluster collects a mix of types
-    spread = 0.12 * side
-    offsets = rng.normal(0.0, spread, size=(count, 2))
-    lo, hi = 0.05 * side, 0.95 * side
-    positions = []
-    for k in range(count):
-        center = sites[(k // types) % len(sites)].center
-        x = min(max(center[0] + float(offsets[k, 0]), lo), hi)
-        z = min(max(center[1] + float(offsets[k, 1]), lo), hi)
-        positions.append((x, z))
-    return positions
+    offsets = rng.normal(0.0, 0.12 * side, size=(count, 2))
+    centers = np.array([s.center for s in sites], dtype=float)
+    points = centers[(np.arange(count) // types) % len(sites)] + offsets
+    return [(x, z) for x, z in np.minimum(np.maximum(points, 0.05 * side), 0.95 * side).tolist()]
 
 
 def _grid_positions(
@@ -126,14 +120,10 @@ def _grid_positions(
     g = math.ceil(math.sqrt(count))
     cell = side / g
     jitter = rng.uniform(-0.3, 0.3, size=(count, 2)) * cell
-    positions = []
-    for k in range(count):
-        idx = (k * g * g) // count
-        row, col = divmod(idx, g)
-        x = (col + 0.5) * cell + float(jitter[k, 0])
-        z = (row + 0.5) * cell + float(jitter[k, 1])
-        positions.append((x, z))
-    return positions
+    row, col = np.divmod(np.arange(count) * g * g // count, g)
+    x = (col + 0.5) * cell + jitter[:, 0]
+    z = (row + 0.5) * cell + jitter[:, 1]
+    return list(zip(x.tolist(), z.tolist()))
 
 
 def generate_scene(archetype: str | SceneArchetype, seed: int) -> SceneLayout:
@@ -184,9 +174,10 @@ def patrol_route(
     layout: SceneLayout, speed: float = 1.0, stop_interval: float = 100.0
 ) -> CameraPath:
     """Closed camera route visiting every site, ordered by angle around the
-    scene center so the loop never crosses itself on typical layouts."""
+    scene center so the loop never crosses itself on typical layouts.  One
+    site, or sites that all share one center, get a circle around it."""
     centers = [s.center for s in layout.sites]
-    if len(centers) == 1:
+    if len(set(centers)) == 1:
         radius = 0.25 * min(layout.bounds.width, layout.bounds.depth)
         return circle_path(centers[0], radius, speed=speed, stop_interval=stop_interval)
     if len(centers) == 2:

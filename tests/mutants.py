@@ -30,6 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVER = "tests/test_solver.py"
 PROBE = f"{SOLVER}::TestLexicographicProbe::test_no_permuted_optimum_is_smaller"
 FEASIBILITY = f"{SOLVER}::TestFeasibilityRule"
+NOISE = "tests/test_noise.py"
+DIGESTS = "tests/test_sweep_digests.py"
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,27 @@ MUTANTS = (
         "cells = [float(term[i, column[label]]) for term in (*terms, matrix.total)]\n"
         "        cells[0] = float(terms[0][column[label], i])",
         ("tests/test_cli.py::TestAssign::test_report_cells_match_scalar_costs",),
+    ),
+    Mutant(
+        "perturbation draws taken in file order, not label order",
+        "noise.py",
+        "view = layout_arrays(layout)",
+        "from .scene import object_arrays\n    view = object_arrays(layout.objects)",
+        (f"{NOISE}::TestMatchesThePerObjectLoop::test_archetypes", DIGESTS),
+    ),
+    Mutant(
+        "grid rows and columns swapped",
+        "scenegen.py",
+        "row, col = np.divmod(",
+        "col, row = np.divmod(",
+        ("tests/test_scenegen.py::TestPositionsMatchTheLoops", DIGESTS),
+    ),
+    Mutant(
+        "the yaw offset clamp removed",
+        "noise.py",
+        "yaw = view.yaw + np.clip(dr, -360.0, 360.0)",
+        "yaw = view.yaw + dr",
+        (f"{NOISE}::TestPerturb::test_yaw_offset_beyond_a_turn_saturates",),
     ),
 )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -18,7 +19,8 @@ from relabel.costs import (
     translation_cost,
 )
 from relabel.noise import NoiseModel, perturb_layout
-from relabel.scene import load_scene, save_observation, synthesize_observation
+from relabel.partition import VoronoiSite
+from relabel.scene import load_scene, save_observation, save_scene, synthesize_observation
 from relabel.scenegen import generate_scene, patrol_route
 from relabel.path import MAX_STOPS, camera_stops, path_length, path_to_dict
 
@@ -221,6 +223,43 @@ class TestMalformedInput:
     def test_infinite_stop_interval_flag_exits_3(self, capsys):
         assert run("sweep", "--archetype", "L1", "--stop-interval", "inf") == 3
         assert "stop interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda det: det["dims"].update(w=1e308),
+            lambda det: det["dims"].update(w=1e-320),
+            lambda det: det["pose"].update(x=1e308),
+        ],
+        ids=["box-huge", "box-subnormal", "position-huge"],
+    )
+    def test_overflowing_cost_table_names_every_cause(self, tmp_path, capsys, edit):
+        # L1 seed 0 at its first stop that sees an object, with the default
+        # weights: one detection's box or position overflows the table
+        layout = generate_scene("L1", 0)
+        seen = (synthesize_observation(layout, c) for c in camera_stops(patrol_route(layout)))
+        observation = tmp_path / "obs.json"
+        save_observation(next(o for o in seen if o.detections), observation)
+        doc = json.loads(observation.read_text())
+        edit(doc["detections"][0])
+        observation.write_text(json.dumps(doc))
+        scene = tmp_path / "l1.json"
+        save_scene(layout, scene)
+        assert run("assign", str(scene), str(observation)) == 3
+        err = capsys.readouterr().err
+        assert "the cost table overflows" in err
+        assert all(cause in err for cause in ("box dimensions", "positions", "weights"))
+
+    def test_floor_whose_area_overflows_exits_3_naming_bounds(
+        self, tmp_path, scene_file, observation_file, capsys
+    ):
+        doc = json.loads(scene_file.read_text())
+        doc["bounds"] = {"width": 1e200, "depth": 1e200}
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(doc))
+        assert run("assign", str(huge), str(observation_file)) == 3
+        err = capsys.readouterr().err
+        assert "bounds" in err and "weight" not in err
 
     def test_untyped_detection_with_category_separation_exits_3(
         self, tmp_path, scene_file, capsys
@@ -429,6 +468,17 @@ class TestSweep:
             assert run("sweep", *args) == 0
             config = json.loads((out / "manifest.json").read_text())["config"]
             assert (config["speed"], config["stop_interval"]) == used
+
+    def test_two_sites_sharing_a_center(self, tmp_path):
+        # the default route circles the shared center, as for one site
+        layout = generate_scene("L1", 0)
+        first, second = layout.sites
+        shared = dataclasses.replace(layout, sites=(first, VoronoiSite(second.id, first.center)))
+        scene = tmp_path / "shared.json"
+        save_scene(shared, scene)
+        out = tmp_path / "shared-sweep"
+        assert run("sweep", "--scene", str(scene), "--noise", "0.1", "--out-dir", str(out)) == 0
+        assert (out / "rows.csv").is_file()
 
     def test_scene_file_source(self, tmp_path, scene_file):
         out = tmp_path / "filesweep"

@@ -117,6 +117,11 @@ class TestWeights:
             CostWeights(w_t=0.0, w_r=0.0)
         assert CostWeights(w_t=0.0, w_r=1.0).w_t == 0.0  # single zero is fine
 
+    @pytest.mark.parametrize("w_t", [math.inf, math.nan, -1.0])
+    def test_rejection_says_finite_and_non_negative(self, w_t):
+        with pytest.raises(SceneValidationError, match="weight w_t must be finite and >= 0"):
+            CostWeights(w_t=w_t, w_r=1.0)
+
     def test_total_combines_multiplicatively_over_shape(self):
         w = CostWeights(w_t=2.0, w_r=1.0)
         assert total_cost(0.25, 0.5, 3.0, w) == pytest.approx(3.0 * (2.0 * 0.25 + 0.5), abs=1e-12)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,16 @@ import pytest
 
 from relabel.noise import NoiseModel, ZERO_NOISE, derive_seed, make_rng, perturb_layout
 from relabel.partition import VoronoiSite
-from relabel.scene import SceneBounds, SceneLayout, SceneValidationError
+from relabel.scene import (
+    ObjectInstance,
+    PlanarPose,
+    SceneBounds,
+    SceneLayout,
+    SceneValidationError,
+    normalize_yaw,
+    scene_to_dict,
+)
+from relabel.scenegen import ARCHETYPES, generate_scene
 
 from .conftest import make_object
 
@@ -89,6 +100,14 @@ class TestPerturb:
         for o in perturbed.objects:
             assert 0.0 <= o.pose.yaw < 360.0
 
+    @pytest.mark.parametrize("r_mean", [1000.0, -1000.0, 1e300])
+    def test_yaw_offset_beyond_a_turn_saturates(self, two_site_layout, r_mean):
+        # an offset past +-360 degrees is held to one whole turn
+        perturbed = perturb_layout(two_site_layout, NoiseModel(r_mean=r_mean), 8)
+        turn = math.copysign(360.0, r_mean)
+        for before, after in zip(two_site_layout.objects, perturbed.objects):
+            assert after.pose.yaw == normalize_yaw(before.pose.yaw + turn)
+
     def test_sample_statistics_match_model(self):
         layout = big_layout()
         noise = NoiseModel(t_sd=1.0, r_sd=10.0)
@@ -143,3 +162,95 @@ class TestSeeds:
         a = perturb_layout(two_site_layout, noise, make_rng(17))
         b = perturb_layout(two_site_layout, noise, 17)
         assert a == b
+
+
+def loop_perturb(layout: SceneLayout, noise: NoiseModel, seed) -> SceneLayout:
+    """The per-object perturbation that the array steps replaced, kept as
+    their reference: label-sorted draws, one object at a time."""
+    rng = make_rng(seed)
+    objects = layout.objects
+    n = len(objects)
+    order = sorted(range(n), key=lambda i: objects[i].label)
+    dx = rng.normal(noise.t_mean, noise.t_sd, size=n)
+    dz = rng.normal(noise.t_mean, noise.t_sd, size=n)
+    dr = np.clip(rng.normal(noise.r_mean, noise.r_sd, size=n), -360.0, 360.0)
+    replaced = {}
+    for k, i in enumerate(order):
+        obj = objects[i]
+        x = min(max(obj.pose.x + float(dx[k]), 0.0), layout.bounds.width)
+        z = min(max(obj.pose.z + float(dz[k]), 0.0), layout.bounds.depth)
+        yaw = obj.pose.yaw + float(dr[k])
+        replaced[i] = ObjectInstance(
+            label=obj.label, object_type=obj.object_type,
+            pose=PlanarPose(x=x, z=z, yaw=yaw), dims=obj.dims,
+        )
+    return SceneLayout(
+        name=layout.name, bounds=layout.bounds, sites=layout.sites,
+        objects=tuple(replaced[i] for i in range(n)),
+    )
+
+
+def layout_bytes(layout: SceneLayout) -> bytes:
+    # repr of every float, so -0.0 and 0.0 differ
+    return json.dumps(scene_to_dict(layout)).encode()
+
+
+# just below a whole turn, and zero: a tiny offset makes each sum round to
+# exactly 360.0, which the pose renormalizes to 0.0
+BELOW_A_TURN = math.nextafter(360.0, 0.0)
+EDGE_YAWS = SceneLayout(
+    name="edge-yaws",
+    bounds=SceneBounds(width=4.0, depth=3.0),
+    sites=(VoronoiSite(id="S01", center=(2.0, 1.5)),),
+    objects=tuple(
+        make_object(f"chair-{k:02d}", 0.5 + k, 1.5, yaw=yaw)
+        for k, yaw in enumerate((BELOW_A_TURN, 0.0, 180.0))
+    ),
+)
+# a floor whose positions plus an offset pass the largest float
+HUGE_FLOOR = SceneLayout(
+    name="huge-floor",
+    bounds=SceneBounds(width=1e308, depth=1.0),
+    sites=(VoronoiSite(id="S01", center=(0.5, 0.5)),),
+    objects=(make_object("chair-01", 1e308, 0.5), make_object("chair-02", 0.0, 0.5)),
+)
+
+
+class TestMatchesThePerObjectLoop:
+    @pytest.mark.parametrize("name", sorted(ARCHETYPES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "noise",
+        [
+            NoiseModel(t_sd=0.3, r_sd=20.0),
+            # sd larger than every room: both bounds clamps and the yaw clamp
+            NoiseModel(t_sd=50.0, r_sd=5000.0),
+        ],
+        ids=["mild", "clamped"],
+    )
+    def test_archetypes(self, name, seed, noise):
+        layout = generate_scene(name, seed)
+        stream = derive_seed(seed, 7)
+        assert layout_bytes(perturb_layout(layout, noise, stream)) == layout_bytes(
+            loop_perturb(layout, noise, stream)
+        )
+        # draws follow the labels, not the order of the object tuple
+        shuffled = dataclasses.replace(layout, objects=layout.objects[::-1])
+        assert layout_bytes(perturb_layout(shuffled, noise, stream)) == layout_bytes(
+            loop_perturb(shuffled, noise, stream)
+        )
+
+    @pytest.mark.parametrize("r_mean", [3e-14, -1e-300])
+    def test_yaw_sums_that_round_to_a_whole_turn(self, r_mean):
+        assert BELOW_A_TURN + 3e-14 == 360.0 and 0.0 + -1e-300 < 0.0
+        noise = NoiseModel(r_mean=r_mean)
+        perturbed = perturb_layout(EDGE_YAWS, noise, 3)
+        assert layout_bytes(perturbed) == layout_bytes(loop_perturb(EDGE_YAWS, noise, 3))
+        assert all(0.0 <= o.pose.yaw < 360.0 for o in perturbed.objects)
+
+    def test_sums_past_the_largest_float_clamp_to_the_bound(self):
+        # the suite turns an overflow warning into an error
+        noise = NoiseModel(t_mean=1e308)
+        perturbed = perturb_layout(HUGE_FLOOR, noise, 0)
+        assert layout_bytes(perturbed) == layout_bytes(loop_perturb(HUGE_FLOOR, noise, 0))
+        assert [(o.pose.x, o.pose.z) for o in perturbed.objects] == [(1e308, 1.0)] * 2

@@ -75,6 +75,12 @@ class TestBounds:
         assert b.contains(0.0, 0.0) and b.contains(5.0, 5.0)
         assert not b.contains(5.0001, 2.0)
 
+    @pytest.mark.parametrize("width, depth", [(1e200, 1e200), (1.7e308, 1.7e308)])
+    def test_floor_whose_area_overflows_rejected_by_name(self, width, depth):
+        # costs divide by the diagonal and default weights scale with the area
+        with pytest.raises(SceneValidationError, match=r"^bounds .* area or diagonal overflows"):
+            SceneBounds(width=width, depth=depth)
+
 
 class TestLayout:
     def test_duplicate_labels_rejected(self, bounds):

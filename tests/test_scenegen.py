@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from relabel import scenegen
+from relabel.noise import make_rng
 from relabel.partition import VoronoiSite
 from relabel.path import path_length
 from relabel.scene import SceneBounds, SceneLayout, SceneValidationError
 from relabel.scenegen import ARCHETYPES, SceneArchetype, generate_scene, patrol_route
 
-from .conftest import make_object
+from .conftest import S2000, make_object
 
 EXPECTED = {
     # name: (sites, object types, objects, area, placement)
@@ -97,6 +100,16 @@ class TestPatrolRoute:
         assert len(route.segments) == 4
         assert path_length(route) > 0.0
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_sites_sharing_one_center_circle_it(self, count):
+        # a route through coincident centers would have no length, and its
+        # two-site oval would divide by the distance between them
+        one = self.bounds_layout(VoronoiSite(id="S01", center=(10.0, 10.0)))
+        shared = self.bounds_layout(
+            *(VoronoiSite(id=f"S{i:02d}", center=(10.0, 10.0)) for i in range(1, count + 1))
+        )
+        assert patrol_route(shared) == patrol_route(one)
+
     def test_two_sites_oval(self):
         layout = self.bounds_layout(
             VoronoiSite(id="S01", center=(5.0, 10.0)), VoronoiSite(id="S02", center=(15.0, 10.0))
@@ -116,3 +129,62 @@ class TestPatrolRoute:
         layout = generate_scene("L1", 0)
         route = patrol_route(layout, speed=2.5, stop_interval=30.0)
         assert route.speed == 2.5 and route.stop_interval == 30.0
+
+
+# The per-object position loops that the array expressions replaced, kept
+# as references: the same draws must give the same bytes.
+
+
+def loop_clustered_positions(rng, sites, count, types, side):
+    spread = 0.12 * side
+    offsets = rng.normal(0.0, spread, size=(count, 2))
+    lo, hi = 0.05 * side, 0.95 * side
+    positions = []
+    for k in range(count):
+        center = sites[(k // types) % len(sites)].center
+        x = min(max(center[0] + float(offsets[k, 0]), lo), hi)
+        z = min(max(center[1] + float(offsets[k, 1]), lo), hi)
+        positions.append((x, z))
+    return positions
+
+
+def loop_grid_positions(rng, count, side):
+    g = math.ceil(math.sqrt(count))
+    cell = side / g
+    jitter = rng.uniform(-0.3, 0.3, size=(count, 2)) * cell
+    positions = []
+    for k in range(count):
+        row, col = divmod((k * g * g) // count, g)
+        x = (col + 0.5) * cell + float(jitter[k, 0])
+        z = (row + 0.5) * cell + float(jitter[k, 1])
+        positions.append((x, z))
+    return positions
+
+
+# the six archetypes, a 7-object grid (g = 3, so cells are skipped) and the
+# 2000-object clustered scene
+REFERENCE_ARCHETYPES = (
+    *ARCHETYPES.values(),
+    SceneArchetype("G7", sites=3, object_types=2, objects=7, area=30.0, placement="grid"),
+    S2000,
+)
+
+
+def position_bytes(positions) -> bytes:
+    assert all(type(v) is float for point in positions for v in point)
+    return np.array(positions, dtype=float).tobytes()
+
+
+class TestPositionsMatchTheLoops:
+    @pytest.mark.parametrize("arch", REFERENCE_ARCHETYPES, ids=lambda a: a.name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bytes(self, arch, seed):
+        sites = generate_scene(arch, seed).sites
+        if arch.placement == "clustered":
+            args = (sites, arch.objects, arch.object_types, arch.side)
+            ours = scenegen._clustered_positions(make_rng(seed), *args)
+            theirs = loop_clustered_positions(make_rng(seed), *args)
+        else:
+            ours = scenegen._grid_positions(make_rng(seed), arch.objects, arch.side)
+            theirs = loop_grid_positions(make_rng(seed), arch.objects, arch.side)
+        assert position_bytes(ours) == position_bytes(theirs)
